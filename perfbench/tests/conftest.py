@@ -1,0 +1,6 @@
+"""Put the benchmark's modules (``perfbench/``) on the import path."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
