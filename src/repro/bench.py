@@ -6,8 +6,8 @@ Runs fixed, seeded workloads several ways and writes ``BENCH_PERF.json``:
   engine and again with the vectorized ``modnp`` engine — the matrices must
   be byte-identical and the speedup is a headline number (the acceptance
   bar is 5x);
-* the same build pipeline and a chaos mini-sweep at ``--workers 1`` and
-  ``--workers N`` — verdicts and matrices must be byte-identical, proving
+* the same build pipeline at ``--workers 1`` and ``--workers N`` — the
+  matrices must be byte-identical, proving
   :func:`repro.util.parallel.parmap`'s seed-per-task determinism;
 * the E15 exact D(f) suite on the ``legacy`` tuple engine and the pruned
   ``bitset`` engine — values must be identical and the full-mode bar is 5x
@@ -20,9 +20,11 @@ Runs fixed, seeded workloads several ways and writes ``BENCH_PERF.json``:
   fan-out vs resume-from-shards, all byte-identical, with the
   core-independent resume gated at 3x and the store's shard stats embedded
   for the CI artifact;
-* the exact cost-calculus sweep (:mod:`repro.costs`) — every protocol's
-  symbolic formula against the live channel and ARQ stats, by integer
-  equality; a single MISMATCH cell fails the bench outright;
+* the scenario-matrix sweep (:mod:`repro.matrix`) serial and at two
+  workers — every protocol's symbolic cost formula against the live
+  channel and ARQ stats by integer equality, faulted cells judged against
+  their gold answers; the two reports must be byte-identical and a single
+  MISMATCH cell fails the bench outright;
 * a cold-vs-warm partition sweep against a throwaway persistent cache
   (:mod:`repro.cache`), with the in-process LRU cleared in between so the
   warm run measures the *disk* store — results must be identical and the
@@ -126,8 +128,7 @@ def bench_engines(quick: bool) -> dict[str, Any]:
 
 
 def bench_parallel(quick: bool, workers: int) -> dict[str, Any]:
-    """Serial vs parallel determinism: truth-matrix build and chaos sweep."""
-    from repro.comm.chaos import sweep
+    """Serial vs parallel determinism of the truth-matrix build."""
     from repro.singularity import truth_builder as tb
 
     fam, rows, columns_serial = _pinned_workload(quick)
@@ -144,34 +145,12 @@ def bench_parallel(quick: bool, workers: int) -> dict[str, Any]:
         tm1.shape == tmn.shape and (tm1.data == tmn.data).all()
     )
 
-    chaos_kwargs: dict[str, Any] = dict(
-        protocols=["equality", "trivial"],
-        kinds=["flip", "erase"],
-        rates=[0.0, 0.01] if quick else [0.0, 0.01, 0.05],
-        runs=3 if quick else 10,
-        seed=17,
-    )
-    t0 = time.perf_counter()
-    points1 = sweep(workers=1, **chaos_kwargs)
-    chaos_serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pointsn = sweep(workers=workers, **chaos_kwargs)
-    chaos_parallel_s = time.perf_counter() - t0
-    chaos_identical = [p.as_dict() for p in points1] == [
-        p.as_dict() for p in pointsn
-    ]
     return {
         "workers_compared": [1, workers],
         "truth_matrix": {
             "serial_seconds": serial_s,
             "parallel_seconds": parallel_s,
             "byte_identical": tm_identical,
-        },
-        "chaos": {
-            "serial_seconds": chaos_serial_s,
-            "parallel_seconds": chaos_parallel_s,
-            "cells": len(points1),
-            "verdicts_identical": bool(chaos_identical),
         },
     }
 
@@ -505,40 +484,13 @@ def bench_cache_roundtrip(quick: bool) -> dict[str, Any]:
     }
 
 
-def bench_costs(quick: bool) -> dict[str, Any]:
-    """The standing measured-vs-predicted regression gate.
-
-    Runs the exact cost sweep of :mod:`repro.costs` and times it; any
-    ``MISMATCH`` cell fails the bench (it means a formula and the live
-    wire disagree — an accounting bug, never timing noise), so the gate
-    participates in ``identical`` rather than in the timing targets.
-    """
-    from repro.costs import run_sweep
-
-    t0 = time.perf_counter()
-    cells = run_sweep(quick=quick)
-    elapsed = time.perf_counter() - t0
-    mismatched = [c for c in cells if c.verdict != "MATCH"]
-    return {
-        "cells": len(cells),
-        "mismatches": len(mismatched),
-        "mismatch_detail": [
-            {"protocol": c.protocol, "params": c.params, "detail": c.mismatches}
-            for c in mismatched
-        ],
-        "seconds": elapsed,
-        "all_match": not mismatched,
-    }
-
-
 def bench_matrix(quick: bool) -> dict[str, Any]:
     """The scenario-matrix determinism and verdict gate.
 
     Runs the quick matrix sweep twice — serial and at two workers — and
     demands byte-identical reports plus zero ``MISMATCH`` verdicts, so
-    the bench catches both nondeterminism and contract violations.  Like
-    :func:`bench_costs` this participates in ``identical``, not in the
-    timing targets.
+    the bench catches both nondeterminism and contract violations.  It
+    participates in ``identical``, not in the timing targets.
     """
     import json as json_module
 
@@ -595,8 +547,6 @@ def run_bench(
             exact = bench_exact_search(quick)
         with trace.span("bench.parallel_search", quick=quick, workers=workers):
             parallel_search = bench_parallel_search(quick, workers)
-        with trace.span("bench.costs", quick=quick):
-            costs = bench_costs(quick)
         with trace.span("bench.matrix", quick=quick):
             matrix = bench_matrix(quick)
     if no_cache:
@@ -619,7 +569,6 @@ def run_bench(
         "exact_search": exact,
         "parallel_search": parallel_search,
         "sharded_truth": sharded,
-        "costs": costs,
         "matrix": matrix,
         "cache": cache_section,
         "obs": obs.snapshot(),
@@ -630,10 +579,8 @@ def run_bench(
     identical = (
         engines["byte_identical"]
         and parallel["truth_matrix"]["byte_identical"]
-        and parallel["chaos"]["verdicts_identical"]
         and exact["values_identical"]
         and parallel_search["values_identical"]
-        and costs["all_match"]
         and matrix["ok"]
         and (sharded is None or sharded["byte_identical"])
         and (cache_section is None or cache_section["results_identical"])
@@ -666,10 +613,6 @@ def render_summary(report: dict[str, Any]) -> str:
         f"{p['truth_matrix']['byte_identical']} "
         f"({p['truth_matrix']['serial_seconds'] * 1e3:.1f} ms -> "
         f"{p['truth_matrix']['parallel_seconds'] * 1e3:.1f} ms)",
-        f"  chaos verdicts  : identical = {p['chaos']['verdicts_identical']} "
-        f"over {p['chaos']['cells']} cells "
-        f"({p['chaos']['serial_seconds'] * 1e3:.1f} ms -> "
-        f"{p['chaos']['parallel_seconds'] * 1e3:.1f} ms)",
     ]
     x = report.get("exact_search")
     if x is not None:
@@ -714,14 +657,6 @@ def render_summary(report: dict[str, Any]) -> str:
             f"{sh['speedup_target']:g}x, byte-identical: "
             f"{sh['byte_identical']}, interrupt resumed: "
             f"{sh['interrupt_resumed']})",
-        ]
-    k = report.get("costs")
-    if k is not None:
-        lines += [
-            f"cost calculus ({k['cells']} cells):",
-            f"  sweep           : {k['seconds'] * 1e3:9.1f} ms",
-            f"  verdicts        : {k['cells'] - k['mismatches']} MATCH, "
-            f"{k['mismatches']} MISMATCH (all_match: {k['all_match']})",
         ]
     m = report.get("matrix")
     if m is not None:

@@ -8,7 +8,7 @@
     python -m repro experiments
     python -m repro bench --quick
     python -m repro cache stats --format json
-    python -m repro chaos --quick --workers 4
+    python -m repro matrix --quick --workers 4
     python -m repro lint --format json
     python -m repro lint --explain ISO301
 
@@ -171,75 +171,6 @@ def _cmd_experiments(args) -> int:
     print("Experiments (run: pytest benchmarks/bench_eNN_*.py --benchmark-only -s):")
     for eid, description in experiments:
         print(f"  {eid:4s} {description}")
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    import json
-
-    from repro.comm.chaos import FAULT_KINDS, SCENARIOS, sweep, sweep_table
-    from repro.comm.transport import ArqConfig
-
-    if args.quick:
-        protocols = ["equality", "trivial"]
-        kinds = ["flip", "erase"]
-        rates = [0.0, 0.01]
-        runs = 3
-    else:
-        protocols = args.protocols.split(",") if args.protocols else sorted(SCENARIOS)
-        kinds = args.kinds.split(",") if args.kinds else list(FAULT_KINDS)
-        rates = [float(r) for r in args.rates.split(",")] if args.rates else [
-            0.0, 0.002, 0.01, 0.05,
-        ]
-        runs = args.runs
-    config = ArqConfig(
-        max_retries=args.max_retries, frame_payload=args.frame_payload
-    )
-    points = sweep(
-        protocols=protocols,
-        kinds=kinds,
-        rates=rates,
-        runs=runs,
-        seed=args.seed,
-        config=config,
-        workers=args.workers,
-    )
-    if args.json:
-        print(json.dumps([p.as_dict() for p in points], indent=2))
-    else:
-        print(sweep_table(points).render())
-    silent = sum(p.silent_wrong for p in points)
-    if silent:
-        print(f"SILENT CORRUPTION: {silent} run(s) returned ok with a wrong answer")
-        return 1
-    if not args.json:
-        print("no silent corruption: every wrong run failed loudly")
-    return 0
-
-
-def _cmd_costs(args) -> int:
-    import json
-
-    from repro.costs import render_table, run_sweep, sweep_report
-
-    cells = run_sweep(quick=args.quick, seed=args.seed)
-    report = sweep_report(cells, quick=args.quick, seed=args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_table(cells).render())
-    if not report["ok"]:
-        print(
-            f"MISMATCH: {report['mismatches']} cell(s) disagree with the "
-            "symbolic formulas — a real accounting bug, not noise"
-        )
-        return 1
-    if not args.json:
-        print("all cells MATCH: every formula equals the wire, bit for bit")
     return 0
 
 
@@ -626,45 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="list the experiment suite")
     p.set_defaults(fn=_cmd_experiments)
-
-    p = sub.add_parser(
-        "chaos", help="sweep fault injection across the protocol suite"
-    )
-    p.add_argument("--protocols", help="comma-separated scenario names (default: all)")
-    p.add_argument("--kinds", help="comma-separated fault kinds (default: all)")
-    p.add_argument("--rates", help="comma-separated fault rates")
-    p.add_argument("--runs", type=int, default=20, help="seeded runs per cell")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=8, help="ARQ retry budget")
-    p.add_argument(
-        "--frame-payload", type=int, default=None,
-        help="cap payload bits per ARQ frame (smaller = more robust)",
-    )
-    p.add_argument("--quick", action="store_true", help="CI-sized smoke sweep")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size for the sweep (default: REPRO_WORKERS or 1); "
-        "results are bit-identical at every value",
-    )
-    p.set_defaults(fn=_cmd_chaos)
-
-    p = sub.add_parser(
-        "costs",
-        help="validate the symbolic cost formulas against live channels "
-        "(exact integer equality; any MISMATCH is a bug)",
-    )
-    p.add_argument("--quick", action="store_true", help="CI gate size")
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the schema-v1 JSON report instead of the table",
-    )
-    p.add_argument(
-        "--out", default=None,
-        help="also write the JSON report to this path (the CI artifact)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sweep root seed")
-    p.set_defaults(fn=_cmd_costs)
 
     p = sub.add_parser(
         "matrix",

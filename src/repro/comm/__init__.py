@@ -22,13 +22,16 @@ On top of the ideal model sits the robustness stack (see
 ``docs/fault_model.md``):
 
 * :mod:`repro.comm.faults` — seeded fault injection
-  (:class:`FaultyChannel` + pluggable :class:`FaultModel` subclasses);
+  (:class:`FaultyChannel` + pluggable :class:`FaultModel` subclasses,
+  built by name through :func:`make_fault_model`);
 * :mod:`repro.comm.transport` — reliable ARQ transport (framing, CRC-16,
   sequence numbers, retransmission with deterministic backoff);
 * :func:`run_supervised` / :func:`run_with_retries` — structured
-  :class:`RunReport` outcomes instead of exceptions;
-* :mod:`repro.comm.chaos` — the chaos-test harness sweeping fault rates
-  across the protocol suite.
+  :class:`RunReport` outcomes instead of exceptions.
+
+The harness that runs the protocol suite under these faults and judges
+every run against its gold answer is the scenario matrix
+(:mod:`repro.matrix`).
 """
 
 from repro.comm.bits import MatrixBitCodec, bits_to_int, int_to_bits
@@ -63,6 +66,7 @@ from repro.comm.agents import (
     run_with_retries,
 )
 from repro.comm.faults import (
+    FAULT_KINDS,
     BitFlipFaults,
     BurstFaults,
     ChannelDropFaults,
@@ -76,6 +80,7 @@ from repro.comm.faults import (
     FaultModel,
     FaultyChannel,
     NoFaults,
+    make_fault_model,
 )
 from repro.comm.transport import (
     ArqConfig,
@@ -84,17 +89,6 @@ from repro.comm.transport import (
     arq_adapt,
     crc16,
     reliable_pair,
-)
-from repro.comm.chaos import (
-    FAULT_KINDS,
-    SCENARIOS,
-    ChaosCase,
-    ChaosOutcome,
-    SweepPoint,
-    make_fault_model,
-    run_case,
-    sweep,
-    sweep_table,
 )
 from repro.comm.protocol import (
     Leaf,
@@ -211,6 +205,7 @@ __all__ = [
     "run_protocol",
     "run_supervised",
     "run_with_retries",
+    "FAULT_KINDS",
     "BitFlipFaults",
     "BurstFaults",
     "ChannelDropFaults",
@@ -224,21 +219,13 @@ __all__ = [
     "FaultModel",
     "FaultyChannel",
     "NoFaults",
+    "make_fault_model",
     "ArqConfig",
     "ArqEndpoint",
     "TransportStats",
     "arq_adapt",
     "crc16",
     "reliable_pair",
-    "FAULT_KINDS",
-    "SCENARIOS",
-    "ChaosCase",
-    "ChaosOutcome",
-    "SweepPoint",
-    "make_fault_model",
-    "run_case",
-    "sweep",
-    "sweep_table",
     "Leaf",
     "Node",
     "ProtocolTree",

@@ -175,8 +175,8 @@ class RunReport:
         fault_events: injected faults, when the channel was a
             :class:`~repro.comm.faults.FaultyChannel`.
         retries: transport-level retransmissions + timeouts, filled in by
-            callers that own the transport endpoints (e.g. the chaos
-            harness).
+            callers that own the transport endpoints (e.g.
+            :func:`repro.matrix.sweep.run_arq`).
         overhead_bits: transcript bits beyond the inner protocol's payload
             (framing, checksums, acks, retransmissions).
         payload_bits: the inner protocol's own bits, as counted by the

@@ -20,9 +20,12 @@ whose failures are *detected*.  This module supplies the misbehaviour:
   fault model makes of it, and keeps an *injected-faults log*
   (:class:`FaultLog`) alongside the transcript so measured cost can be
   separated into payload bits and recovery overhead.
+* :func:`make_fault_model` — the named-kind factory (:data:`FAULT_KINDS`)
+  the scenario matrix's fault regimes are built from.
 
 Everything is seeded through :class:`~repro.util.rng.ReproducibleRNG`; a
-chaos sweep with the same seed injects byte-identical faults every time.
+faulted matrix cell with the same seed injects byte-identical faults every
+time.
 """
 
 from __future__ import annotations
@@ -445,3 +448,31 @@ class FaultyChannel(BitChannel):
     def drained(self) -> bool:
         """True when nothing is pending *and* nothing is held back delayed."""
         return super().drained() and not self._delayed
+
+
+#: Fault kinds :func:`make_fault_model` understands.
+FAULT_KINDS = ("flip", "burst", "erase", "duplicate", "delay")
+
+
+def make_fault_model(kind: str, rate: float, seed: int = 0) -> FaultModel:
+    """Build a seeded fault model of the named kind at the given rate.
+
+    Kinds: ``flip`` (independent bit flips), ``burst`` (burst flips),
+    ``erase`` (tail truncation), ``duplicate`` (message replays), ``delay``
+    (deliveries postponed behind later sends).  ``rate = 0`` always means a
+    clean channel.
+    """
+    if rate < 0:
+        raise ValueError("fault rate must be >= 0")
+    if rate == 0:
+        return NoFaults()
+    makers = {
+        "flip": BitFlipFaults,
+        "burst": BurstFaults,
+        "erase": ErasureFaults,
+        "duplicate": DuplicateFaults,
+        "delay": DelayFaults,
+    }
+    if kind not in makers:
+        raise ValueError(f"unknown fault kind {kind!r}; have {sorted(makers)}")
+    return makers[kind](rate, seed=seed)

@@ -22,8 +22,8 @@ it composes with any protocol via ``yield from``:
   exception in a production path.
 * **Accounting.**  Every endpoint keeps :class:`TransportStats` separating
   the payload bits the inner protocol asked to move from the framing /
-  retransmission overhead actually paid on the wire, so chaos experiments
-  can plot recovery overhead against fault rate honestly.
+  retransmission overhead actually paid on the wire, so faulted
+  experiments can plot recovery overhead against fault rate honestly.
 
 :func:`arq_adapt` tunnels an arbitrary agent program through an endpoint,
 turning any existing protocol into its reliable-transport variant without
@@ -88,8 +88,8 @@ class ArqConfig:
         frame_payload: optional cap on payload bits per frame, below the
             ``len_bits`` limit.  Smaller frames pay more framing overhead
             but survive high bit-error rates far better (each frame is an
-            independent delivery attempt) — the knob behind the chaos
-            harness's overhead-vs-robustness tradeoff.
+            independent delivery attempt) — the knob behind E17's
+            overhead-vs-robustness tradeoff.
     """
 
     max_retries: int = 8

@@ -26,11 +26,6 @@ The layers:
   source, and :func:`~repro.costs.plan.expand_plan` evaluates it
   numerically for comparison with ``shape_of`` — the three-way
   code↔plan↔formula gate (docs/static_analysis.md).
-* :mod:`repro.costs.validate` — the measured-vs-predicted sweep behind
-  ``python -m repro costs``, the bench gate and CI's ``costs-gate``:
-  every cell runs the protocol live (clean channel and clean-channel
-  ARQ) and demands exact equality, emitting a pinned schema-v1 JSON of
-  measured/predicted/bound/verdict per cell.
 
 ``repro.serve`` prices ``protocol.run`` requests with these models
 before admitting them (the ``cost.estimate`` method), so an over-budget
@@ -51,13 +46,6 @@ from repro.costs.models import (
     varint_bits,
 )
 from repro.costs.plan import PROTOCOL_PLANS, evaluate_width, expand_plan
-from repro.costs.validate import (
-    COSTS_SCHEMA_VERSION,
-    SweepCell,
-    render_table,
-    run_sweep,
-    sweep_report,
-)
 
 __all__ = [
     "MessageShape",
@@ -72,9 +60,4 @@ __all__ = [
     "theorem_lower_bound_bits",
     "trivial_upper_bound_bits",
     "varint_bits",
-    "COSTS_SCHEMA_VERSION",
-    "SweepCell",
-    "render_table",
-    "run_sweep",
-    "sweep_report",
 ]

@@ -272,18 +272,17 @@ def shape_of(protocol, input0=None) -> MessageShape:
 
 
 def scenario_shape(name: str, seed: int) -> MessageShape:
-    """The cost model of one chaos scenario instance (serve's pricer).
+    """The cost model of one service scenario instance (serve's pricer).
 
-    Builds the same :class:`~repro.comm.chaos.ChaosCase` that
+    Builds the same :class:`~repro.matrix.scenarios.MatrixCase` that
     ``protocol.run`` would execute and returns its shape — so
     ``repro.serve`` can price a request exactly without running it.
     """
-    from repro.comm.chaos import SCENARIOS
+    from repro.matrix.scenarios import SCENARIOS, case_shape
 
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    case = SCENARIOS[name](seed)
-    return shape_of(case.protocol, case.input0)
+    return case_shape(SCENARIOS[name](seed))
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ Together the three artifacts form the consistency triangle documented in
 * the **code** (agent programs, via the flow skeletons),
 * this **declared plan**,
 * the **formulas** (:func:`repro.costs.shape_of`, already validated
-  against live channel transcripts by :mod:`repro.costs.validate`).
+  against live channel transcripts by the scenario matrix,
+  :mod:`repro.matrix`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The engine never imports the code it checks — everything is :mod:`ast`
 over source text — so linting cannot execute side effects, and fixture
 trees full of deliberate violations are safe to scan.  Observability goes
 through :mod:`repro.obs` (``lint.*`` counters), mirroring the bench and
-chaos harnesses.
+the scenario matrix.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """DET — bit-identical determinism in protocol and sweep code.
 
 Every measured communication cost in this repository is a claim of the
-form "this transcript, on this seed".  The chaos harness re-runs sweeps
+form "this transcript, on this seed".  The scenario matrix re-runs sweeps
 across worker counts and asserts byte-identical results; ambient
 randomness, wall-clock reads and unordered iteration all break that
 contract silently.  Randomness must flow through

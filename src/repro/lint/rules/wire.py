@@ -1,6 +1,6 @@
 """WIRE — every encoder has a decoder, and both survive corruption tests.
 
-The chaos harness's "no silent corruption" guarantee (PR 1) rests on each
+The faulted matrix cells' "no silent corruption" guarantee rests on each
 wire format rejecting damaged encodings; a codec with an untested decode
 path — or no decode path at all — is exactly where a bit flip turns into
 a silently wrong protocol answer.  This family is *cross-file*: it pairs

@@ -24,6 +24,11 @@ The four models and what "predicted" means in each:
   with the certificate supplied by the omniscient instance builder
   (:func:`certificate_for`).
 
+This is the repository's one instance catalogue: the service's
+``protocol.run``/``cost.estimate`` scenarios (:data:`SCENARIOS`), its
+pricer (:func:`repro.costs.models.scenario_shape`) and the cost-formula
+tests all build their instances with the builders below.
+
 Everything is a pure function of the seed and the coordinates — the DET
 lint rules watch this package like they watch the cache.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -54,6 +60,7 @@ from repro.util.rng import ReproducibleRNG
 
 __all__ = [
     "MODELS",
+    "SCENARIOS",
     "MatrixCase",
     "canonical_scenarios",
     "case_shape",
@@ -197,6 +204,18 @@ def _pi_zero_instance(seed: int, size: int, k: int):
     return codec, partition, view0, view1, bool(is_singular(m))
 
 
+def _linear_system(seed: int, n_rows: int, n_cols: int, k: int):
+    """A random k-bit system Ax = b: (a, b, left view, right view)."""
+    from repro.exact.matrix import Matrix
+    from repro.exact.vector import Vector
+    from repro.protocols.solvability import split_system
+
+    rng = ReproducibleRNG(seed)
+    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
+    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
+    return (a, b, *split_system(a, b))
+
+
 def _equality_strings(seed: int, n: int):
     rng = ReproducibleRNG(seed)
     x = tuple(rng.bit_vector(n))
@@ -252,20 +271,34 @@ def _det_matmul(seed: int, n: int, k: int) -> MatrixCase:
 
 
 def _det_solvability(seed: int, n_rows: int, n_cols: int, k: int) -> MatrixCase:
-    from repro.exact.matrix import Matrix
     from repro.exact.solve import is_solvable
-    from repro.exact.vector import Vector
-    from repro.protocols.solvability import TrivialSolvability, split_system
+    from repro.protocols.solvability import TrivialSolvability
 
-    rng = ReproducibleRNG(seed)
-    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
-    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
-    left, right = split_system(a, b)
+    a, b, left, right = _linear_system(seed, n_rows, n_cols, k)
     return MatrixCase(
         "deterministic", "solvability",
         {"n_rows": n_rows, "n_cols": n_cols, "k": k},
         TrivialSolvability(n_rows, k), left, right,
         expected=bool(is_solvable(a, b)),
+    )
+
+
+def _det_rank_basis(seed: int, size: int) -> MatrixCase:
+    from repro.exact import is_singular
+    from repro.exact.matrix import Matrix
+    from repro.protocols.rank_protocol import ColumnBasisProtocol
+
+    rng = ReproducibleRNG(seed)
+    m = Matrix.random_kbit(rng, size, size, 1)
+    half = size // 2
+    # No trivial/Leighton columns: the fraction-encoded basis is
+    # instance-dependent and may exceed 2kn² + 1.
+    return MatrixCase(
+        "deterministic", "rank-column-basis", {"size": size},
+        ColumnBasisProtocol(),
+        m.slice(0, size, 0, half), m.slice(0, size, half, size),
+        expected=bool(is_singular(m)),
+        bounds={"lower": theorem_lower_bound_bits(half, 1)},
     )
 
 
@@ -319,6 +352,17 @@ def _rand_freivalds(seed: int, n: int, k: int, rounds: int) -> MatrixCase:
         "randomized-leighton", "matmul-verify",
         {"n": n, "k": k, "rounds": rounds},
         FreivaldsVerify(n, k, rounds), (a, b), c, randomized=True,
+    )
+
+
+def _rand_solvability(seed: int, n_rows: int, n_cols: int, k: int) -> MatrixCase:
+    from repro.protocols.solvability import FingerprintSolvability
+
+    _, _, left, right = _linear_system(seed, n_rows, n_cols, k)
+    return MatrixCase(
+        "randomized-leighton", "solvability",
+        {"n_rows": n_rows, "n_cols": n_cols, "k": k},
+        FingerprintSolvability(n_rows, k), left, right, randomized=True,
     )
 
 
@@ -415,8 +459,10 @@ def catalogue(
 ) -> list[tuple[Callable[..., MatrixCase], dict[str, int]]]:
     """The (model, family) axis points: ``(builder, params)`` per point.
 
-    Quick mode (the CI gate) keeps two or three families per model; full
-    mode widens every axis.  All four models appear in both.
+    Quick mode (rendered into ``docs/RESULTS.md``) keeps two or three
+    families per model; full mode widens every axis and adds one point of
+    every live library protocol, so each declared cost plan is checked
+    against the wire.  All four models appear in both.
     """
     quick_axes: list[tuple[Callable[..., MatrixCase], dict[str, int]]] = [
         (_det_equality, {"n": 16}),
@@ -435,37 +481,38 @@ def catalogue(
     axes.extend([
         (_det_singularity, {"size": 6, "k": 1}),
         (_det_solvability, {"n_rows": 3, "n_cols": 4, "k": 2}),
+        (_det_rank_basis, {"size": 4}),
         (_rand_fingerprint, {"size": 6, "k": 1}),
         (_rand_rabin_karp, {"n": 8}),
         (_rand_freivalds, {"n": 2, "k": 2, "rounds": 2}),
+        (_rand_solvability, {"n_rows": 3, "n_cols": 4, "k": 2}),
         (_one_way_index, {"b": 2}),
         (_nondet_equality, {"n": 2, "value": 0}),
     ])
     return axes
 
 
-#: Which chaos scenario each live (model, family) point exercises — the
-#: bridge that makes the matrix the service load harness's workload mix.
-_CHAOS_SCENARIO: dict[tuple[str, str], str] = {
-    ("deterministic", "equality"): "equality",
-    ("deterministic", "singularity-pi0"): "trivial",
-    ("deterministic", "matmul-verify"): "matmul_verify",
-    ("deterministic", "solvability"): "solvability",
-    ("randomized-leighton", "singularity-pi0"): "fingerprint",
+#: The service's ``protocol.run``/``cost.estimate`` scenarios: wire name →
+#: catalogue builder at fixed params (instance seed → :class:`MatrixCase`).
+SCENARIOS: dict[str, Callable[[int], MatrixCase]] = {
+    "equality": partial(_det_equality, n=16),
+    "trivial": partial(_det_singularity, size=4, k=2),
+    "fingerprint": partial(_rand_fingerprint, size=4, k=2),
+    "matmul_verify": partial(_det_matmul, n=2, k=2),
+    "rank_protocol": partial(_det_rank_basis, size=4),
+    "solvability": partial(_det_solvability, n_rows=3, n_cols=4, k=2),
 }
 
 
 def canonical_scenarios() -> tuple[str, ...]:
-    """Chaos-scenario names covered by the quick matrix, sorted.
+    """Service scenario names whose point is in the quick matrix, sorted.
 
     ``repro.serve``'s load harness draws its ``protocol.run`` mix from
     this list, so the service is exercised on exactly the workload the
     scenario matrix measures and gates.
     """
-    names = set()
-    for builder, params in catalogue(quick=True):
-        probe = builder(0, **params)
-        scenario = _CHAOS_SCENARIO.get((probe.model, probe.family))
-        if scenario is not None:
-            names.add(scenario)
-    return tuple(sorted(names))
+    quick = catalogue(quick=True)
+    return tuple(sorted(
+        name for name, build in SCENARIOS.items()
+        if (build.func, build.keywords) in quick
+    ))

@@ -1,7 +1,7 @@
 """The scenario-matrix sweep: every cell measured, predicted and judged.
 
-One cell = (model, family, params) × fault regime.  Execution is
-gold-standard-gated like the chaos harness and exact like the costs gate:
+One cell = (model, family, params) × fault regime.  Every run is judged
+against a gold answer and every count is compared by integer equality:
 
 * **clean regime** — the instance runs on a bare
   :class:`~repro.comm.channel.BitChannel` (transcript totals, rounds and
@@ -15,18 +15,25 @@ gold-standard-gated like the chaos harness and exact like the costs gate:
 
 * **faulted regime** — the same instance, same coins, re-run several
   times through ARQ over a seeded
-  :class:`~repro.comm.faults.FaultyChannel`
-  (:func:`repro.comm.chaos.run_case` does the judging).  A run either
-  recovers the gold answer, fails loudly, or — the unacceptable bucket —
-  returns ``ok`` with a wrong answer.  Verdict: ``WITHIN_BOUND`` when
-  there is zero silent corruption and every recovered run's wire total
-  lands in ``[clean ARQ wire bits, arq_retry_ceiling_bits]``; any
-  violation is a ``MISMATCH``.
+  :class:`~repro.comm.faults.FaultyChannel`, each run judged against the
+  cell's gold answer (the bare-channel run, computed once per cell).  A
+  run either recovers the gold answer, fails loudly, or — the
+  unacceptable bucket — returns ``ok`` with a wrong answer.  Verdict:
+  ``WITHIN_BOUND`` when there is zero silent corruption and every
+  recovered run's wire total lands in ``[clean ARQ wire bits,
+  arq_retry_ceiling_bits]``; any violation is a ``MISMATCH``.
+
+Both regimes run their ARQ legs through one function, :func:`run_arq`,
+which also reconciles the transport accounting on every run: each
+endpoint's four bit buckets must sum to its wire bits, and on completed
+runs the channel transcript must carry exactly the bits each endpoint
+claims it sent.
 
 The sweep fans out through :func:`repro.util.parallel.parmap` (one task
 per cell, all randomness derived from the cell's coordinates, so the JSON
 is byte-identical at any worker count), traces a ``matrix.sweep`` span
-with one ``matrix.cell`` event per cell, and caches finished cells in the
+with one ``matrix.cell`` event per cell (faulted cells also carry their
+fault kind, injected-fault and retry totals), and caches finished cells in the
 active :class:`~repro.cache.store.CacheStore` under
 :func:`repro.cache.keys.cell_key` addresses — a warm re-sweep reads every
 cell back without running a single protocol.
@@ -37,12 +44,13 @@ The JSON layout is pinned at :data:`MATRIX_SCHEMA_VERSION`; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.comm.chaos import ChaosCase, make_fault_model
-from repro.comm.chaos import run_case as run_chaos_case
-from repro.comm.transport import ArqConfig
+from repro.comm.agents import RunReport, run_protocol, run_supervised
+from repro.comm.channel import BitChannel
+from repro.comm.faults import FaultModel, FaultyChannel, make_fault_model
+from repro.comm.transport import ArqConfig, TransportStats, reliable_pair
 from repro.costs.models import arq_retry_ceiling_bits
 from repro.matrix.scenarios import MatrixCase, case_shape, catalogue
 from repro.trace import core as trace
@@ -52,9 +60,11 @@ from repro.util.rng import ReproducibleRNG, derive_seed
 
 __all__ = [
     "MATRIX_SCHEMA_VERSION",
+    "ArqRun",
     "FaultRegime",
     "regimes",
     "render_table",
+    "run_arq",
     "run_cell",
     "run_sweep",
     "sweep_report",
@@ -66,12 +76,13 @@ MATRIX_SCHEMA_VERSION = 1
 #: Cache engine tag for cell records; bump to orphan stale cells.
 CELL_ENGINE_VERSION = "repro.matrix/1"
 
-#: Frame-payload cap for the ARQ legs (same as the costs sweep: small
-#: enough to exercise chunking, large enough to stay fast).
+#: Frame-payload cap for the ARQ legs: small enough that the larger
+#: protocols split into many frames (exercising the chunked framing/ACK
+#: formulas), large enough that runs stay fast.
 MATRIX_FRAME_PAYLOAD = 64
 
-#: Scheduler step budget for one ARQ leg.
-_MAX_STEPS = 2_000_000
+#: Scheduler step budget for one ARQ run.
+_MAX_STEPS = 10_000_000
 
 #: The pinned key set of one cell document (the frozen-schema contract).
 CELL_KEYS = (
@@ -94,7 +105,7 @@ class FaultRegime:
 
     Attributes:
         name: stable regime id (``clean``, ``flip@20``, ...).
-        kind: fault kind for :func:`repro.comm.chaos.make_fault_model`,
+        kind: fault kind for :func:`repro.comm.faults.make_fault_model`,
             or None for the clean regime.
         rate_permille: fault rate in permille — an integer so the schema
             stays float-free; the live rate is ``rate_permille / 1000``.
@@ -120,7 +131,7 @@ def regimes(quick: bool = True) -> list[FaultRegime]:
     """The fault axis: clean plus at least two faulted regimes.
 
     Quick mode (the CI gate) injects bit flips and erasures at 2%; full
-    mode covers every fault kind the chaos harness knows.
+    mode covers every kind in :data:`repro.comm.faults.FAULT_KINDS`.
     """
     if quick:
         return [
@@ -198,28 +209,134 @@ def _bound_mismatches(case: MatrixCase, predicted: dict[str, int]) -> list[str]:
     return problems
 
 
-def _clean_legs(case: MatrixCase, coin_seed: int, config: ArqConfig):
+@dataclass(frozen=True)
+class ArqRun:
+    """One ARQ-tunneled run, judged against its gold answer.
+
+    Attributes:
+        report: the supervised run's structured report, with the transport
+            accounting fields (retries, payload and overhead bits) filled
+            in from the endpoints.
+        gold: the answer the same instance and coins give on a bare channel.
+        answer: the run's agreed answer (None unless ``ok``).
+        endpoints: each agent's live :class:`TransportStats`.
+        problems: transport-accounting violations (empty on a sound stack).
+    """
+
+    report: RunReport
+    gold: Any
+    answer: Any
+    endpoints: tuple[TransportStats, TransportStats]
+    problems: tuple[str, ...]
+
+    @property
+    def recovered(self) -> bool:
+        """True when the run finished ``ok`` with the gold answer."""
+        return self.report.ok and self.answer == self.gold
+
+    @property
+    def silent_wrong(self) -> bool:
+        """True for the unacceptable bucket: ``ok`` but a different answer."""
+        return self.report.ok and self.answer != self.gold
+
+    @property
+    def stats(self) -> TransportStats:
+        """Both endpoints' stats, summed field by field."""
+        return self.endpoints[0].merged(self.endpoints[1])
+
+
+def _coins(case: MatrixCase, coin_seed: int) -> ReproducibleRNG | None:
+    return ReproducibleRNG(coin_seed) if case.randomized else None
+
+
+def run_arq(
+    case: MatrixCase,
+    gold: Any,
+    fault_model: FaultModel | None = None,
+    *,
+    coin_seed: int,
+    config: ArqConfig,
+) -> ArqRun:
+    """Run ``case`` through the ARQ transport and judge it against ``gold``.
+
+    ``fault_model=None`` runs on a bare :class:`BitChannel`; otherwise the
+    channel is a :class:`FaultyChannel` under that model.  The public
+    coins are re-derived from ``coin_seed``, so ``gold`` — the bare-channel
+    answer with the same coins — is the only correct answer and any
+    disagreement is corruption, never coin luck.
+    """
+    coins = _coins(case, coin_seed)
+    if coins is None:
+        inner0 = case.protocol.agent0(case.input0)
+        inner1 = case.protocol.agent1(case.input1)
+    else:
+        inner0 = case.protocol.agent0(case.input0, coins)
+        inner1 = case.protocol.agent1(case.input1, coins)
+    wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, config)
+    channel = BitChannel() if fault_model is None else FaultyChannel(fault_model)
+    report = run_supervised(
+        lambda _: wrapped0,
+        lambda _: wrapped1,
+        None,
+        None,
+        channel=channel,
+        max_steps=_MAX_STEPS,
+    )
+    # The four buckets partition each endpoint's wire bits exactly.  The
+    # channel cross-check is exact only on completed runs: a failed run
+    # may die between an endpoint's accounting and a closed channel's
+    # refusal.
+    problems = []
+    for agent, endpoint in ((0, e0), (1, e1)):
+        live = endpoint.stats
+        if live.wire_bits != live.accounted_bits:
+            problems.append(
+                f"arq endpoint {agent} buckets: wire {live.wire_bits} != "
+                f"accounted {live.accounted_bits}"
+            )
+        seen = channel.transcript.bits_from(agent)
+        if report.ok and seen != live.wire_bits:
+            problems.append(
+                f"arq endpoint {agent}: channel saw {seen} bits, endpoint "
+                f"claims {live.wire_bits}"
+            )
+    stats = e0.stats.merged(e1.stats)
+    return ArqRun(
+        report=replace(
+            report,
+            retries=stats.retries,
+            overhead_bits=stats.overhead_bits,
+            payload_bits=stats.payload_bits,
+        ),
+        gold=gold,
+        answer=report.agreed_output() if report.ok else None,
+        endpoints=(e0.stats, e1.stats),
+        problems=tuple(problems),
+    )
+
+
+def _bare_run(case: MatrixCase, coin_seed: int):
+    """The instance on a bare channel: its transcript and gold answer."""
+    return run_protocol(
+        case.protocol.agent0,
+        case.protocol.agent1,
+        case.input0,
+        case.input1,
+        public_randomness=_coins(case, coin_seed),
+    )
+
+
+def _clean_legs(
+    case: MatrixCase, coin_seed: int, shape, predicted: dict[str, int],
+    config: ArqConfig,
+):
     """Bare-channel run plus clean-channel ARQ run, both exactly audited.
 
     Returns ``(measured_clean, mismatches)`` — the integer measurements of
     the bare run and every exact-comparison failure across both legs.
     """
-    from repro.comm.agents import run_protocol, run_supervised
-    from repro.comm.channel import BitChannel
-    from repro.comm.transport import reliable_pair
-
-    shape = case_shape(case)
-    predicted = _predictions(shape, config)
     mismatches: list[str] = []
-
-    coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    result = run_protocol(
-        case.protocol.agent0,
-        case.protocol.agent1,
-        case.input0,
-        case.input1,
-        public_randomness=coins,
-    )
+    result = _bare_run(case, coin_seed)
     transcript = result.transcript
     answer = result.agreed_output()
     measured = {
@@ -241,29 +358,14 @@ def _clean_legs(case: MatrixCase, coin_seed: int, config: ArqConfig):
             f"{bool(case.expected)}"
         )
 
-    coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    if coins is None:
-        inner0 = case.protocol.agent0(case.input0)
-        inner1 = case.protocol.agent1(case.input1)
-    else:
-        inner0 = case.protocol.agent0(case.input0, coins)
-        inner1 = case.protocol.agent1(case.input1, coins)
-    wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, config)
-    report = run_supervised(
-        lambda _: wrapped0,
-        lambda _: wrapped1,
-        None,
-        None,
-        channel=BitChannel(),
-        max_steps=_MAX_STEPS,
-    )
-    if not report.ok:
-        mismatches.append(f"clean arq run not ok: outcome {report.outcome}")
-    elif report.agreed_output() != answer:
+    run = run_arq(case, answer, coin_seed=coin_seed, config=config)
+    if not run.report.ok:
+        mismatches.append(f"clean arq run not ok: outcome {run.report.outcome}")
+    elif not run.recovered:
         mismatches.append("clean arq answer disagrees with the bare channel")
     pred_stats = shape.predicted_transport_stats(config)
-    for agent, endpoint in ((0, e0), (1, e1)):
-        live, pred = endpoint.stats, pred_stats[agent]
+    for agent, live in enumerate(run.endpoints):
+        pred = pred_stats[agent]
         for name in sorted(live.__dataclass_fields__):
             have, want = getattr(live, name), getattr(pred, name)
             if have != want:
@@ -271,7 +373,8 @@ def _clean_legs(case: MatrixCase, coin_seed: int, config: ArqConfig):
                     f"clean arq endpoint {agent} {name}: measured {have} "
                     f"!= predicted {want}"
                 )
-    measured["arq_wire_bits"] = e0.stats.wire_bits + e1.stats.wire_bits
+    mismatches.extend(f"clean {problem}" for problem in run.problems)
+    measured["arq_wire_bits"] = run.stats.wire_bits
     return measured, mismatches
 
 
@@ -283,15 +386,13 @@ def _faulted_leg(
     predicted: dict[str, int],
     config: ArqConfig,
 ):
-    """``regime.runs`` seeded fault executions, chaos-judged and bounded.
+    """``regime.runs`` seeded fault executions, gold-judged and bounded.
 
     Returns ``(measured_faulted, mismatches)``.  Each run reuses the cell
-    instance and coins (the gold answer is pinned) and varies only the
-    fault randomness, so a violation replays from its coordinates.
+    instance and coins (the gold answer is computed once) and varies only
+    the fault randomness, so a violation replays from its coordinates.
     """
-    chaos_case = ChaosCase(
-        case.protocol, case.input0, case.input1, case.randomized
-    )
+    gold = _bare_run(case, coin_seed).agreed_output()
     rate = regime.rate_permille / 1000
     recovered = 0
     loud = 0
@@ -307,20 +408,23 @@ def _faulted_leg(
             regime.kind, rate,
             seed=derive_seed(fault_seed_root, regime.name, run_index),
         )
-        outcome = run_chaos_case(
-            chaos_case, model, coin_seed=coin_seed, config=config
+        run = run_arq(case, gold, model, coin_seed=coin_seed, config=config)
+        mismatches.extend(
+            f"{regime.name} run {run_index}: {problem}"
+            for problem in run.problems
         )
-        faults += outcome.report.faults_injected
-        retries += outcome.stats.retries
-        if outcome.silent_wrong:
+        stats = run.stats
+        faults += run.report.faults_injected
+        retries += stats.retries
+        if run.silent_wrong:
             silent += 1
             mismatches.append(
                 f"{regime.name} run {run_index}: SILENT CORRUPTION — "
                 "ok with a wrong answer"
             )
-        elif outcome.recovered:
+        elif run.recovered:
             recovered += 1
-            wire = outcome.stats.wire_bits
+            wire = stats.wire_bits
             wire_total += wire
             wire_min = wire if recovered == 1 else min(wire_min, wire)
             wire_max = max(wire_max, wire)
@@ -361,7 +465,7 @@ def run_cell(
     """Execute and judge one cell; returns its pinned JSON document.
 
     The clean regime runs the exact clean-channel audits; a faulted
-    regime runs the chaos-judged fault legs against the same predictions.
+    regime runs the gold-judged fault legs against the same predictions.
     ``verdict`` is ``MATCH`` (clean, every integer comparison held),
     ``WITHIN_BOUND`` (faulted, no silent corruption, recovery inside the
     ARQ envelope) or ``MISMATCH``.
@@ -373,7 +477,9 @@ def run_cell(
     mismatches = _bound_mismatches(case, predicted)
 
     if regime.kind is None:
-        clean, clean_problems = _clean_legs(case, coin_seed, cfg)
+        clean, clean_problems = _clean_legs(
+            case, coin_seed, shape, predicted, cfg
+        )
         mismatches.extend(clean_problems)
         measured: dict[str, Any] = {"clean": clean, "faulted": None}
         verdict = "MATCH" if not mismatches else "MISMATCH"
@@ -496,12 +602,19 @@ def run_sweep(
             if store is not None and keys[position] is not None:
                 store.put_cell(keys[position], cell)
         for cell in cells:
+            faulted = cell["measured"]["faulted"]
+            attribution = {} if faulted is None else {
+                "kind": cell["regime"]["kind"],
+                "faults_injected": faulted["faults_injected"],
+                "retries": faulted["retries"],
+            }
             trace.event(
                 "matrix.cell",
                 model=cell["model"],
                 family=cell["family"],
                 regime=cell["regime"]["name"],
                 verdict=cell["verdict"],
+                **attribution,
             )
     return [cell for cell in cells if cell is not None]
 

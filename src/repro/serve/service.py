@@ -164,7 +164,7 @@ def _clamped_budget(params: dict, key: str, cap: int) -> int:
 
 def _validated_scenario(params: dict) -> tuple[str, int]:
     """Shared ``scenario``/``seed`` validation for the protocol methods."""
-    from repro.comm.chaos import SCENARIOS
+    from repro.matrix.scenarios import SCENARIOS
 
     scenario = params.get("scenario")
     if scenario not in SCENARIOS:
@@ -181,7 +181,7 @@ def _validated_scenario(params: dict) -> tuple[str, int]:
 def handle_protocol_run(params: dict, config: ServiceConfig) -> dict:
     """``protocol.run``: execute one registered scenario under supervision.
 
-    Params: ``scenario`` (a :data:`repro.comm.chaos.SCENARIOS` name),
+    Params: ``scenario`` (a :data:`repro.matrix.scenarios.SCENARIOS` name),
     ``seed`` (instance seed, default 0), optional ``step_budget`` /
     ``bit_budget`` (clamped to the service caps).  The request is *priced
     before it runs*: the symbolic model in :mod:`repro.costs` predicts the
@@ -193,8 +193,7 @@ def handle_protocol_run(params: dict, config: ServiceConfig) -> dict:
     pricer's suspenders), any other non-ok outcome ``execution_failed``.
     """
     from repro.comm.agents import run_supervised
-    from repro.comm.chaos import SCENARIOS
-    from repro.costs import scenario_shape
+    from repro.matrix.scenarios import SCENARIOS, case_shape
     from repro.util.rng import ReproducibleRNG, derive_seed
 
     scenario, seed = _validated_scenario(params)
@@ -206,7 +205,8 @@ def handle_protocol_run(params: dict, config: ServiceConfig) -> dict:
     )
     if unknown:
         raise HandlerError("bad_request", f"unknown params: {', '.join(unknown)}")
-    shape = scenario_shape(scenario, seed)
+    case = SCENARIOS[scenario](seed)
+    shape = case_shape(case)
     priced = max(shape.bits_from(0), shape.bits_from(1))
     if priced > bit_budget:
         obs.counter("serve.priced_out").inc()
@@ -215,7 +215,6 @@ def handle_protocol_run(params: dict, config: ServiceConfig) -> dict:
             f"predicted cost {priced} bits from one agent exceeds the bit "
             f"budget {bit_budget}; rejected before execution",
         )
-    case = SCENARIOS[scenario](seed)
     coins = (
         ReproducibleRNG(derive_seed(seed, "serve", scenario))
         if case.randomized

@@ -19,7 +19,7 @@ the rectangle), so agreement here means the recorded trace is a faithful,
 replayable artifact of the run, not a lossy log.
 
 Events are attributed to runs by walking span parents up to the nearest
-``protocol.run`` span, so traces containing many runs (a chaos sweep, a
+``protocol.run`` span, so traces containing many runs (a matrix sweep, a
 bench suite) replay cleanly run by run.
 """
 

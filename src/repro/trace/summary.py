@@ -11,10 +11,10 @@ tree and answers the questions the ISSUE's acceptance criteria pin down:
   attribute >= 95% of its wall time to named spans;
 * **event histograms** — how many ``wire.send``, ``arq.retransmit``,
   ``exhaustive.deepen``... events fired;
-* **chaos fault attribution** — per-fault-kind injected/retry totals,
-  folded from ``chaos.point`` events (the per-kind histograms that
-  :class:`repro.comm.chaos.RunSummary` now preserves across parmap
-  workers).
+* **fault attribution** — per-fault-kind injected/retry totals, folded
+  from the faulted ``matrix.cell`` events of a scenario-matrix sweep
+  (one fault kind per cell, emitted in the parent after parmap workers
+  return, so no count is lost at the process boundary).
 
 Everything here consumes plain :class:`repro.trace.core.TraceEvent`
 objects — live from :meth:`Tracer.events` or loaded from a JSONL file —
@@ -86,7 +86,7 @@ def summarize(events: list[TraceEvent], dropped: int = 0) -> dict:
     interval), ``spans`` (per-name calls/total_ns/self_ns/counters),
     ``event_counts`` (per-name point-event histogram), ``counters``
     (deltas aggregated over top-level spans), and ``faults_by_kind``
-    (chaos per-kind injected/retry totals, present when chaos events
+    (per-kind injected/retry totals, present when faulted matrix cells
     appear in the trace).
     """
     spans = _span_records(events)
@@ -143,17 +143,12 @@ def summarize(events: list[TraceEvent], dropped: int = 0) -> dict:
         if ev.kind != "event":
             continue
         event_counts[ev.name] = event_counts.get(ev.name, 0) + 1
-        if ev.name == "chaos.point":
-            for kind in sorted(ev.fields.get("faults_by_kind", {})):
-                bucket = faults_by_kind.setdefault(
-                    kind, {"injected": 0, "retries": 0}
-                )
-                bucket["injected"] += ev.fields["faults_by_kind"][kind]
-            for kind in sorted(ev.fields.get("retries_by_kind", {})):
-                bucket = faults_by_kind.setdefault(
-                    kind, {"injected": 0, "retries": 0}
-                )
-                bucket["retries"] += ev.fields["retries_by_kind"][kind]
+        if ev.name == "matrix.cell" and ev.fields.get("kind"):
+            bucket = faults_by_kind.setdefault(
+                ev.fields["kind"], {"injected": 0, "retries": 0}
+            )
+            bucket["injected"] += ev.fields["faults_injected"]
+            bucket["retries"] += ev.fields["retries"]
 
     summary = {
         "schema": SCHEMA_VERSION,

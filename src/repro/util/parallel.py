@@ -29,10 +29,16 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TypeVar
 
 from repro.trace import core as trace
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -93,18 +99,17 @@ class SharedBound:
     :mod:`repro.comm.exhaustive`) hand every pool worker the same path;
     whenever a worker *witnesses* a cost it calls :meth:`publish`, and
     other workers fold :meth:`get` into their pruning incumbent.  The
-    protocol is deliberately loose: reads may be stale and concurrent
-    publishes may briefly regress toward the larger value — a stale or
+    protocol is deliberately loose: reads may be stale — a stale or
     missing bound only weakens pruning, it can never change a computed
     result, because callers are required to publish *witnessed* values
     only (costs they actually achieved and will themselves return).
 
-    Writes are atomic (pid+tid-named temp file + ``os.replace``) and
-    re-checked a few rounds so the file converges to the minimum;
-    every filesystem error degrades to "no bound", never to a raise.
+    Writes are atomic (pid+tid-named temp file + ``os.replace``), and each
+    publish reads, compares and replaces under an exclusive advisory lock
+    on the file's directory, so a larger value can never land after a
+    smaller one: the file always holds the minimum published.  Every
+    filesystem error degrades to "no bound", never to a raise.
     """
-
-    _ROUNDS = 8
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -123,21 +128,34 @@ class SharedBound:
         tmp = self.path.with_name(
             f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
-        for _ in range(self._ROUNDS):
-            current = self.get()
-            if current is not None and current <= value:
-                return current
-            try:
+        current = None
+        try:
+            with _directory_lock(self.path.parent):
+                current = self.get()
+                if current is not None and current <= value:
+                    return current
                 tmp.write_text(str(value), encoding="ascii")
                 os.replace(tmp, self.path)
-            except OSError:
-                return value if current is None else min(value, current)
-            # A concurrent replace can land after ours with a larger
-            # value; re-read and re-assert until the file agrees.
-            seen = self.get()
-            if seen is not None and seen <= value:
-                return seen
-        return value
+                return value
+        except OSError:
+            return value if current is None else min(value, current)
+
+
+@contextmanager
+def _directory_lock(directory: Path):
+    """Hold an exclusive ``flock`` on ``directory`` (a no-op where the
+    platform has no ``fcntl``).  Locking the directory rather than the
+    bound file survives ``os.replace`` swapping the file's inode and
+    leaves no lock file behind."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 def parmap(

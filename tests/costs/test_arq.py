@@ -13,16 +13,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.agents import run_supervised
-from repro.comm.channel import BitChannel
-from repro.comm.transport import ArqConfig, reliable_pair
+from repro.comm.agents import run_protocol
+from repro.comm.transport import ArqConfig
 from repro.costs import arq_retry_ceiling_bits, fraction_matrix_bits, varint_bits
 from repro.costs.models import fraction_bits
-from repro.costs.validate import (
-    _case_equality_det,
-    _case_fingerprint,
-    _case_rank_basis,
-    _case_solvability_trivial,
+from repro.matrix import run_arq as arq_leg
+from repro.matrix.scenarios import (
+    _det_equality,
+    _det_rank_basis,
+    _det_solvability,
+    _rand_fingerprint,
 )
 from repro.protocols.wire import (
     encode_fraction,
@@ -33,25 +33,23 @@ from repro.util.rng import ReproducibleRNG
 
 
 def run_arq(case, cfg, coin_seed=0):
-    """Run a case through reliable_pair on a clean BitChannel."""
+    """Run a case through the matrix's clean-channel ARQ leg.
+
+    Returns ``(report, stats0, stats1)``: the supervised report and each
+    endpoint's live :class:`~repro.comm.transport.TransportStats`.
+    """
     coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    if coins is None:
-        inner0 = case.protocol.agent0(case.input0)
-        inner1 = case.protocol.agent1(case.input1)
-    else:
-        inner0 = case.protocol.agent0(case.input0, coins)
-        inner1 = case.protocol.agent1(case.input1, coins)
-    wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, cfg)
-    report = run_supervised(
-        lambda _: wrapped0,
-        lambda _: wrapped1,
-        None,
-        None,
-        channel=BitChannel(),
-        max_steps=2_000_000,
-    )
-    assert report.ok, report.outcome
-    return report, e0, e1
+    gold = run_protocol(
+        case.protocol.agent0,
+        case.protocol.agent1,
+        case.input0,
+        case.input1,
+        public_randomness=coins,
+    ).agreed_output()
+    run = arq_leg(case, gold, coin_seed=coin_seed, config=cfg)
+    assert run.recovered, run.report.outcome
+    assert not run.problems, run.problems
+    return (run.report, *run.endpoints)
 
 
 class TestPredictedTransportStats:
@@ -62,67 +60,67 @@ class TestPredictedTransportStats:
         payload=st.sampled_from([1, 3, 8, 64]),
     )
     def test_equality_stats_field_for_field(self, seed, n, payload):
-        case = _case_equality_det(seed, n)
+        case = _det_equality(seed, n)
         cfg = ArqConfig(frame_payload=payload)
         from repro.costs import shape_of
 
         shape = shape_of(case.protocol)
-        report, e0, e1 = run_arq(case, cfg)
+        report, s0, s1 = run_arq(case, cfg)
         predicted = shape.predicted_transport_stats(cfg)
-        assert (e0.stats, e1.stats) == predicted
+        assert (s0, s1) == predicted
         # The dataclass equality above is field-for-field; also pin the
         # reconciliation invariants explicitly.
-        for agent, endpoint in ((0, e0), (1, e1)):
-            assert endpoint.stats.wire_bits == endpoint.stats.accounted_bits
-            assert report.transcript.bits_from(agent) == endpoint.stats.wire_bits
+        for agent, stats in ((0, s0), (1, s1)):
+            assert stats.wire_bits == stats.accounted_bits
+            assert report.transcript.bits_from(agent) == stats.wire_bits
 
     def test_fingerprint_chunked_framing(self):
         # 128 payload bits through 8-bit frames: 16 data frames + 16 ACKs
         # for the fingerprint, one more pair for the 1-bit verdict.
         from repro.costs import shape_of
 
-        case = _case_fingerprint(5, 4, 2)
+        case = _rand_fingerprint(5, 4, 2)
         cfg = ArqConfig(frame_payload=8)
         shape = shape_of(case.protocol, case.input0)
-        report, e0, e1 = run_arq(case, cfg, coin_seed=5)
+        _, s0, s1 = run_arq(case, cfg, coin_seed=5)
         pred0, pred1 = shape.predicted_transport_stats(cfg)
-        assert e0.stats == pred0
-        assert e1.stats == pred1
-        assert e0.stats.frames_sent == 16
-        assert e1.stats.acks_sent == 16
+        assert s0 == pred0
+        assert s1 == pred1
+        assert s0.frames_sent == 16
+        assert s1.acks_sent == 16
 
     def test_rank_basis_variable_length_payload(self):
         # The rank protocol's payload depends on the instance (basis
         # encoding) — the shape must track it exactly anyway.
         from repro.costs import shape_of
 
-        case = _case_rank_basis(9, 4)
+        case = _det_rank_basis(9, 4)
         cfg = ArqConfig(frame_payload=16)
         shape = shape_of(case.protocol, case.input0)
-        _, e0, e1 = run_arq(case, cfg)
-        assert (e0.stats, e1.stats) == shape.predicted_transport_stats(cfg)
+        _, s0, s1 = run_arq(case, cfg)
+        assert (s0, s1) == shape.predicted_transport_stats(cfg)
 
     def test_solvability_header_plus_payload_single_send(self):
         from repro.costs import shape_of
 
-        case = _case_solvability_trivial(11, 3, 4, 2)
+        case = _det_solvability(11, 3, 4, 2)
         cfg = ArqConfig(frame_payload=8)
         shape = shape_of(case.protocol, case.input0)
-        _, e0, e1 = run_arq(case, cfg)
-        assert (e0.stats, e1.stats) == shape.predicted_transport_stats(cfg)
+        _, s0, s1 = run_arq(case, cfg)
+        assert (s0, s1) == shape.predicted_transport_stats(cfg)
 
     def test_clean_channel_has_no_recovery_traffic(self):
         from repro.costs import shape_of
 
-        case = _case_equality_det(3, 16)
+        case = _det_equality(3, 16)
         cfg = ArqConfig(frame_payload=4)
         shape = shape_of(case.protocol)
-        _, e0, e1 = run_arq(case, cfg)
-        for endpoint in (e0, e1):
-            assert endpoint.stats.retransmit_bits == 0
-            assert endpoint.stats.retransmissions == 0
-            assert endpoint.stats.naks_sent == 0
-        assert shape.arq_wire_bits(cfg) == e0.stats.wire_bits + e1.stats.wire_bits
+        _, s0, s1 = run_arq(case, cfg)
+        for stats in (s0, s1):
+            assert stats.retransmit_bits == 0
+            assert stats.retransmissions == 0
+            assert stats.naks_sent == 0
+        assert shape.arq_wire_bits(cfg) == s0.wire_bits + s1.wire_bits
 
 
 class TestRetryCeiling:
@@ -131,7 +129,7 @@ class TestRetryCeiling:
         # sit at or above the clean-channel wire count for any config.
         from repro.costs import shape_of
 
-        case = _case_fingerprint(5, 4, 2)
+        case = _rand_fingerprint(5, 4, 2)
         shape = shape_of(case.protocol, case.input0)
         for payload in (1, 8, 64):
             for retries in (0, 1, 5):
@@ -143,7 +141,7 @@ class TestRetryCeiling:
         # ceiling IS the clean-channel cost.
         from repro.costs import shape_of
 
-        case = _case_equality_det(3, 16)
+        case = _det_equality(3, 16)
         shape = shape_of(case.protocol)
         cfg = ArqConfig(frame_payload=8, max_retries=0)
         assert arq_retry_ceiling_bits(shape, cfg) == shape.arq_wire_bits(cfg)

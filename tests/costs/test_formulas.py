@@ -19,17 +19,17 @@ from repro.costs import (
     theorem_lower_bound_bits,
     trivial_upper_bound_bits,
 )
-from repro.costs.validate import (
-    _case_equality_det,
-    _case_equality_rand,
-    _case_equality_rk,
-    _case_fingerprint,
-    _case_freivalds,
-    _case_matmul_det,
-    _case_rank_basis,
-    _case_solvability_fp,
-    _case_solvability_trivial,
-    _case_trivial,
+from repro.matrix.scenarios import (
+    _det_equality,
+    _det_matmul,
+    _det_rank_basis,
+    _det_singularity,
+    _det_solvability,
+    _rand_equality,
+    _rand_fingerprint,
+    _rand_freivalds,
+    _rand_rabin_karp,
+    _rand_solvability,
 )
 from repro.util.rng import ReproducibleRNG
 
@@ -57,34 +57,34 @@ class TestFormulaEqualsWire:
     @settings(max_examples=25, deadline=None)
     @given(seed=SEEDS, n=st.integers(1, 64))
     def test_equality_deterministic(self, seed, n):
-        assert_shape_matches_wire(_case_equality_det(seed, n))
+        assert_shape_matches_wire(_det_equality(seed, n))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, n=st.integers(1, 32), rounds=st.integers(1, 24))
     def test_equality_randomized(self, seed, n, rounds):
         assert_shape_matches_wire(
-            _case_equality_rand(seed, n, rounds), coin_seed=seed
+            _rand_equality(seed, n, rounds), coin_seed=seed
         )
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, n=st.integers(1, 40))
     def test_equality_rabin_karp(self, seed, n):
-        assert_shape_matches_wire(_case_equality_rk(seed, n), coin_seed=seed)
+        assert_shape_matches_wire(_rand_rabin_karp(seed, n), coin_seed=seed)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, size=st.sampled_from([2, 4, 6]), k=st.integers(1, 4))
     def test_trivial_singularity(self, seed, size, k):
-        assert_shape_matches_wire(_case_trivial(seed, size, k))
+        assert_shape_matches_wire(_det_singularity(seed, size, k))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, size=st.sampled_from([2, 4, 6]), k=st.integers(1, 3))
     def test_fingerprint_singularity(self, seed, size, k):
-        assert_shape_matches_wire(_case_fingerprint(seed, size, k), coin_seed=seed)
+        assert_shape_matches_wire(_rand_fingerprint(seed, size, k), coin_seed=seed)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, size=st.sampled_from([2, 4, 6]))
     def test_rank_column_basis(self, seed, size):
-        assert_shape_matches_wire(_case_rank_basis(seed, size))
+        assert_shape_matches_wire(_det_rank_basis(seed, size))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -95,7 +95,7 @@ class TestFormulaEqualsWire:
     )
     def test_solvability_trivial(self, seed, n_rows, n_cols, k):
         assert_shape_matches_wire(
-            _case_solvability_trivial(seed, n_rows, n_cols, k)
+            _det_solvability(seed, n_rows, n_cols, k)
         )
 
     @settings(max_examples=15, deadline=None)
@@ -107,19 +107,19 @@ class TestFormulaEqualsWire:
     )
     def test_solvability_fingerprint(self, seed, n_rows, n_cols, k):
         assert_shape_matches_wire(
-            _case_solvability_fp(seed, n_rows, n_cols, k), coin_seed=seed
+            _rand_solvability(seed, n_rows, n_cols, k), coin_seed=seed
         )
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, n=st.integers(1, 4), k=st.integers(1, 4))
     def test_matmul_deterministic(self, seed, n, k):
-        assert_shape_matches_wire(_case_matmul_det(seed, n, k))
+        assert_shape_matches_wire(_det_matmul(seed, n, k))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, n=st.integers(1, 4), k=st.integers(1, 3), rounds=st.integers(1, 4))
     def test_matmul_freivalds(self, seed, n, k, rounds):
         assert_shape_matches_wire(
-            _case_freivalds(seed, n, k, rounds), coin_seed=seed
+            _rand_freivalds(seed, n, k, rounds), coin_seed=seed
         )
 
 
@@ -128,7 +128,7 @@ class TestPinnedSmallCases:
 
     def test_equality_sixteen_bits(self):
         # Deterministic EQ_n costs exactly n + 1 bits.
-        case = _case_equality_det(7, 16)
+        case = _det_equality(7, 16)
         assert shape_of(case.protocol).total_bits == 17
 
     def test_trivial_four_by_four(self):
@@ -137,20 +137,20 @@ class TestPinnedSmallCases:
         # trivial upper bound exactly.
         from repro.protocols.trivial import theoretical_trivial_cost
 
-        case = _case_trivial(7, 4, 2)
+        case = _det_singularity(7, 4, 2)
         shape = shape_of(case.protocol, case.input0)
         assert shape.total_bits == 17 == theoretical_trivial_cost(2, 2)
         assert shape.total_bits == trivial_upper_bound_bits(2, 2)
 
     def test_matmul_two_by_two(self):
         # A and B in full: 2·k·n² = 16 bits, plus the verdict.
-        case = _case_matmul_det(7, 2, 2)
+        case = _det_matmul(7, 2, 2)
         assert shape_of(case.protocol).total_bits == 17
 
     def test_fingerprint_four_by_four(self):
         # default_prime_bits(2, 2) = 8, so 16 cells × 8 bits + 1 = 129 —
         # and that is leighton_upper_bound_bits(2, 2) exactly.
-        case = _case_fingerprint(7, 4, 2)
+        case = _rand_fingerprint(7, 4, 2)
         shape = shape_of(case.protocol, case.input0)
         assert shape.total_bits == 129
         assert shape.total_bits == leighton_upper_bound_bits(2, 2)
@@ -166,9 +166,9 @@ class TestPinnedSmallCases:
                 assert lower < upper
 
     def test_scenario_shapes_price_the_serve_catalogue(self):
-        # Every chaos scenario is pricable, and the price is the exact
+        # Every service scenario is pricable, and the price is the exact
         # clean-channel cost of the run protocol.run would execute.
-        from repro.comm.chaos import SCENARIOS
+        from repro.matrix.scenarios import SCENARIOS
 
         for name in sorted(SCENARIOS):
             shape = scenario_shape(name, seed=3)

@@ -3,8 +3,8 @@
 ``PROTOCOL_PLANS`` is the middle vertex of the consistency triangle: the
 COST lint rules check it term-for-term against the *code* (the flow
 skeletons), and this module checks it bit-for-bit against the *formulas*
-(:func:`repro.costs.shape_of`) on the same seeded instances the cost
-sweep runs.  With both edges green the declared table is provably in
+(:func:`repro.costs.shape_of`) on seeded instances of every scenario-matrix
+catalogue point that runs a library protocol.  With both edges green the declared table is provably in
 sync with what the agents do and what the calculus predicts.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.costs import PROTOCOL_PLANS, evaluate_width, expand_plan, shape_of
 from repro.costs.models import BASIS_HEADER_BITS, fraction_matrix_bits
-from repro.costs.validate import sweep_axes
+from repro.matrix.scenarios import catalogue
 
 
 # ----------------------------------------------------------------------
@@ -62,11 +62,14 @@ def _atom_env(case) -> dict[str, int]:
     return env
 
 
-def _quick_cases():
-    return [
+def _library_cases():
+    """The full catalogue's library-protocol cases (the protocols born in
+    :mod:`repro.matrix.protocols` carry their own ``shape()``, no plan)."""
+    cases = [
         builder(1000 + i, **params)
-        for i, (builder, params) in enumerate(sweep_axes(quick=True))
+        for i, (builder, params) in enumerate(catalogue(quick=False))
     ]
+    return [c for c in cases if not hasattr(c.protocol, "shape")]
 
 
 # ----------------------------------------------------------------------
@@ -74,18 +77,18 @@ def _quick_cases():
 # ----------------------------------------------------------------------
 class TestPlanMatchesShapeOf:
     def test_quick_sweep_covers_every_declared_plan(self):
-        names = {type(case.protocol).__name__ for case in _quick_cases()}
+        names = {type(case.protocol).__name__ for case in _library_cases()}
         assert names == set(PROTOCOL_PLANS)
 
     def test_expanded_plans_equal_shape_of_message_for_message(self):
-        for case in _quick_cases():
+        for case in _library_cases():
             name = type(case.protocol).__name__
             expanded = expand_plan(name, _atom_env(case))
             shape = shape_of(case.protocol, case.input0)
             assert expanded == shape.shape, (name, expanded, shape.shape)
 
     def test_plan_totals_match_shape_totals(self):
-        for case in _quick_cases():
+        for case in _library_cases():
             name = type(case.protocol).__name__
             expanded = expand_plan(name, _atom_env(case))
             shape = shape_of(case.protocol, case.input0)

@@ -156,17 +156,3 @@ class TestParmapDeterminism:
             )
             == baseline
         )
-
-    def test_chaos_sweep_worker_invariant(self):
-        from repro.comm.chaos import sweep
-
-        kwargs = dict(
-            protocols=["equality"],
-            kinds=["flip"],
-            rates=[0.0, 0.02],
-            runs=4,
-            seed=5,
-        )
-        serial = [p.as_dict() for p in sweep(workers=1, **kwargs)]
-        parallel = [p.as_dict() for p in sweep(workers=4, **kwargs)]
-        assert serial == parallel

@@ -32,7 +32,7 @@ class TestRunBench:
         report, _ = quick_report
         assert report["engines"]["byte_identical"] is True
         assert report["parallel"]["truth_matrix"]["byte_identical"] is True
-        assert report["parallel"]["chaos"]["verdicts_identical"] is True
+        assert report["matrix"]["byte_identical"] is True
         assert report["ok"] is True
 
     def test_speedup_measured(self, quick_report):

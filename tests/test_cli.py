@@ -53,31 +53,6 @@ class TestCommands:
         with pytest.raises(ValueError):
             main(["family", "--n", "6", "--k", "2"])  # even n
 
-    def test_chaos_quick(self, capsys):
-        assert main(["chaos", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "chaos sweep" in out
-        assert "no silent corruption" in out
-
-    def test_chaos_json(self, capsys):
-        import json
-
-        assert main(["chaos", "--quick", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data
-        assert all(point["silent_wrong"] == 0 for point in data)
-
-    def test_chaos_custom_cell(self, capsys):
-        assert main([
-            "chaos",
-            "--protocols", "equality",
-            "--kinds", "flip",
-            "--rates", "0.0,0.01",
-            "--runs", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "equality" in out
-
 
 class TestMatrixCommand:
     def test_matrix_quick_table(self, capsys):

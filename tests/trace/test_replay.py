@@ -1,7 +1,7 @@
 """Transcript replay: traces are faithful, replayable artifacts of runs.
 
-The acceptance bar from the issue: for each of the six chaos-suite
-protocols, replaying the recorded trace of a clean-channel run must
+The acceptance bar: for each of the six service scenarios
+(:data:`repro.matrix.SCENARIOS`), replaying the recorded trace of a clean-channel run must
 reproduce the run's gold leaf bit for bit.  On top of that, faulty
 ARQ-protected runs must replay too (the transcript records what the
 sender paid for, not what the faults delivered), and tampering with a
@@ -12,14 +12,15 @@ import pytest
 
 from repro import trace
 from repro.comm.agents import run_protocol, run_supervised
-from repro.comm.chaos import SCENARIOS, make_fault_model, run_case
-from repro.comm.faults import FaultyChannel
-from repro.comm.transport import reliable_pair
+from repro.comm.faults import FaultyChannel, make_fault_model
+from repro.comm.transport import ArqConfig, reliable_pair
+from repro.matrix import run_arq
+from repro.matrix.scenarios import SCENARIOS
 from repro.util.rng import ReproducibleRNG
 
 
 def _run_scenario_clean(name: str, seed: int = 0):
-    """One clean-channel gold run of a registered chaos scenario."""
+    """One clean-channel gold run of a registered service scenario."""
     case = SCENARIOS[name](seed)
     coins = ReproducibleRNG(seed) if case.randomized else None
     return run_protocol(
@@ -32,7 +33,7 @@ def _run_scenario_clean(name: str, seed: int = 0):
 
 
 class TestGoldLeafReplay:
-    """Every chaos-suite protocol's trace replays to its gold leaf."""
+    """Every service scenario's trace replays to its gold leaf."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_clean_run_replays_bit_for_bit(self, name):
@@ -82,14 +83,21 @@ class TestFaultyReplay:
         assert replay.leaf == report.transcript.as_bit_string()
 
     def test_run_case_traces_gold_and_faulty_runs(self):
-        """run_case produces two runs per call; both replay verified."""
+        """A gold run and its judged ARQ run under faults both replay."""
         case = SCENARIOS["matmul_verify"](1)
         with trace.capture() as tracer:
-            outcome = run_case(case, make_fault_model("erase", 0.01, seed=2))
+            gold = _run_scenario_clean("matmul_verify", seed=1).agreed_output()
+            run = run_arq(
+                case,
+                gold,
+                make_fault_model("erase", 0.01, seed=2),
+                coin_seed=0,
+                config=ArqConfig(),
+            )
         replays = trace.replay_all(tracer.events())
         assert len(replays) == 2  # the gold run, then the faulty run
         assert all(r.verified for r in replays), [r.problems for r in replays]
-        assert replays[1].leaf == outcome.report.transcript.as_bit_string()
+        assert replays[1].leaf == run.report.transcript.as_bit_string()
 
 
 class TestTamperDetection:

@@ -13,7 +13,7 @@ import pytest
 from repro import trace
 from repro.cli import main
 from repro.comm.agents import run_protocol
-from repro.comm.chaos import SCENARIOS
+from repro.matrix.scenarios import SCENARIOS
 
 #: Every key a schema-v1 event carries — no more, no less.
 SCHEMA_V1_EVENT_KEYS = {
@@ -69,19 +69,26 @@ class TestSummaryBars:
         summary = trace.summarize(tracer.events(), tracer.dropped)
         assert summary["dropped"] == 3
 
-    def test_chaos_points_fold_into_fault_attribution(self):
+    def test_faulted_cells_fold_into_fault_attribution(self):
         with trace.capture() as tracer:
             trace.event(
-                "chaos.point",
-                protocol="equality", kind="flip", rate=0.01,
-                faults_by_kind={"flip": 7},
-                retries_by_kind={"flip": 10},
+                "matrix.cell", model="deterministic", family="equality",
+                regime="clean", verdict="MATCH",
             )
             trace.event(
-                "chaos.point",
-                protocol="equality", kind="erase", rate=0.01,
-                faults_by_kind={"erase": 2, "flip": 1},
-                retries_by_kind={"erase": 3},
+                "matrix.cell", model="deterministic", family="equality",
+                regime="flip@20", verdict="WITHIN_BOUND",
+                kind="flip", faults_injected=7, retries=10,
+            )
+            trace.event(
+                "matrix.cell", model="deterministic", family="trivial",
+                regime="erase@20", verdict="WITHIN_BOUND",
+                kind="erase", faults_injected=2, retries=3,
+            )
+            trace.event(
+                "matrix.cell", model="deterministic", family="trivial",
+                regime="flip@20", verdict="WITHIN_BOUND",
+                kind="flip", faults_injected=1, retries=0,
             )
         summary = trace.summarize(tracer.events())
         assert summary["faults_by_kind"] == {
@@ -90,6 +97,23 @@ class TestSummaryBars:
         }
         rendered = trace.render_summary(summary)
         assert "fault kind" in rendered and "flip" in rendered
+
+    def test_matrix_sweep_reports_its_fault_attribution(self):
+        from repro.matrix import run_sweep
+
+        with trace.capture() as tracer:
+            cells = run_sweep(quick=True)
+        summary = trace.summarize(tracer.events())
+        for kind in ("flip", "erase"):
+            faulted = [
+                c["measured"]["faulted"]
+                for c in cells
+                if c["regime"]["kind"] == kind
+            ]
+            assert summary["faults_by_kind"][kind] == {
+                "injected": sum(m["faults_injected"] for m in faulted),
+                "retries": sum(m["retries"] for m in faulted),
+            }
 
     def test_render_summary_is_humane(self):
         tracer, _ = _traced_e15_search()
