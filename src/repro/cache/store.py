@@ -798,8 +798,8 @@ def directory(path):
 
 @contextmanager
 def disabled():
-    """Scoped off-switch: no persistent cache inside the block (used by the
-    bench harness so engine timings never read a warm user cache)."""
+    """Scoped off-switch: no persistent cache inside the block (used by
+    timing code so engine timings never read a warm user cache)."""
     with _LOCK:
         saved = (_CONFIGURED, _CONFIGURED_SET)
     configure(None)

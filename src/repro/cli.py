@@ -6,9 +6,9 @@
     python -m repro bounds --n 255 --k 8
     python -m repro check
     python -m repro experiments
-    python -m repro bench --quick
     python -m repro cache stats --format json
     python -m repro matrix --quick --workers 4
+    python -m repro serve-chaos --kinds flip,drop --json
     python -m repro lint --format json
     python -m repro lint --explain ISO301
 
@@ -234,20 +234,6 @@ def _cmd_lint(args) -> int:
     return main_lint(args)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import render_summary, run_bench
-
-    report = run_bench(
-        quick=args.quick,
-        workers=args.workers or 4,
-        out_path=args.out,
-        no_cache=args.no_cache,
-    )
-    print(render_summary(report))
-    print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_cache(args) -> int:
     import json
 
@@ -354,73 +340,47 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_load(args) -> int:
+def _cmd_serve_chaos(args) -> int:
     import json
 
-    from repro.serve.chaos import FRAME_FAULT_KINDS, chaos_sweep
-    from repro.serve.load import run_bench_serve, write_bench_serve
+    from repro.serve.chaos import chaos_sweep
 
-    if args.chaos:
-        kinds = (
-            tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            if args.kinds
-            else FRAME_FAULT_KINDS
-        )
-        points = chaos_sweep(
-            kinds=kinds,
-            rate=args.rate,
-            requests_per_kind=args.chaos_requests,
-            clients=args.clients,
-            seed=args.seed,
-            config=_serve_config(args),
-        )
-        bad = sum(p.silent_wrong + p.hung for p in points)
-        if args.json:
-            print(json.dumps([p.as_dict() for p in points], indent=2))
-        else:
-            print(
-                f"serve chaos sweep: {len(points)} fault kind(s) x "
-                f"{args.chaos_requests} request(s) at rate {args.rate}"
-            )
-            for p in points:
-                print(
-                    f"  {p.kind:9s} ok={p.ok:4d} errors={p.expected_errors:3d} "
-                    f"lost={p.lost} retries={p.retries:3d} "
-                    f"silent_wrong={p.silent_wrong} hung={p.hung}"
-                )
-            print(
-                "gate: no silent corruption, no hung connections"
-                if bad == 0
-                else f"gate VIOLATED: {bad} silent/hung outcome(s)"
-            )
-        return 1 if bad else 0
-    report = run_bench_serve(
-        seed=args.seed,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        fault_kind=args.kind,
-        rate=args.rate,
+    kinds = None
+    if args.kinds is not None:
+        kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+        if not kinds:
+            raise ValueError("--kinds names no fault kind")
+    given = {
+        "kinds": kinds,
+        "rate": args.rate,
+        "requests_per_kind": args.requests,
+        "clients": args.clients,
+        "seed": args.seed,
+    }
+    points = chaos_sweep(
         config=_serve_config(args),
+        **{name: value for name, value in given.items() if value is not None},
     )
-    path = write_bench_serve(report, args.out)
+    bad = sum(p.silent_wrong + p.hung + p.lost for p in points)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps([p.as_dict() for p in points], indent=2))
     else:
-        for phase_name, phase in report["phases"].items():
-            lat = phase["latency_ms"]
+        print(
+            f"serve chaos sweep: {len(points)} fault kind(s) x "
+            f"{points[0].requests} request(s) at rate {points[0].rate}"
+        )
+        for p in points:
             print(
-                f"{phase_name:7s}: {phase['requests']} requests, "
-                f"ok={phase['ok']} errors={phase['structured_errors']} "
-                f"lost={phase['lost']} shed_rate={phase['shed_rate']:.4f} "
-                f"p50={lat['p50']}ms p95={lat['p95']}ms p99={lat['p99']}ms"
+                f"  {p.kind:9s} ok={p.ok:4d} errors={p.expected_errors:3d} "
+                f"lost={p.lost} retries={p.retries:3d} "
+                f"silent_wrong={p.silent_wrong} hung={p.hung}"
             )
         print(
-            f"coalesced/memoized under clean channels: "
-            f"{report['gate']['coalesced_or_memoized']}"
+            "gate: no silent corruption, no hung connections, no lost requests"
+            if bad == 0
+            else f"gate VIOLATED: {bad} silent/hung/lost outcome(s)"
         )
-    print(f"wrote {path}")
-    lost = report["gate"]["clean_lost"] + report["gate"]["faulted_lost"]
-    return 1 if lost else 0
+    return 1 if bad else 0
 
 
 def _trace_files(args) -> list:
@@ -600,24 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
-        "bench",
-        help="pinned perf sweep: fraction vs modnp, serial vs parallel "
-        "(writes BENCH_PERF.json)",
-    )
-    p.add_argument("--quick", action="store_true", help="CI smoke size")
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="parallel worker count to compare against serial (default 4)",
-    )
-    p.add_argument("--out", default="BENCH_PERF.json", help="report path")
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the persistent-cache round-trip and keep the store "
-        "disabled for the whole run",
-    )
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser(
         "cache",
         help="inspect the persistent exact-search result cache "
         "(stats / clear / verify / sweep-tmp)",
@@ -667,40 +609,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
-        "serve-load",
-        help="load-generate against an in-process service: latency "
-        "percentiles + shed rates into BENCH_SERVE.json, or --chaos for "
-        "the service-layer fault gate",
+        "serve-chaos",
+        help="the service-layer fault gate: seeded requests through faulty "
+        "frame pipes per fault kind; exit 1 on any silent corruption, hung "
+        "connection or lost request",
     )
-    p.add_argument("--clients", type=int, default=200, help="concurrent clients")
-    p.add_argument(
-        "--requests", type=int, default=5, help="requests per client"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--kind", default="flip",
-        help="fault kind for the faulted benchmark phase",
-    )
-    p.add_argument(
-        "--rate", type=float, default=0.02, help="per-frame fault probability"
-    )
-    p.add_argument("--out", default="BENCH_SERVE.json", help="report path")
-    p.add_argument(
-        "--chaos", action="store_true",
-        help="run the robustness gate across fault kinds instead of the "
-        "benchmark",
-    )
+    # Unset options fall through to repro.serve.chaos_sweep's own defaults.
     p.add_argument(
         "--kinds", default=None,
-        help="comma-separated fault kinds for --chaos (default: all six)",
+        help="comma-separated fault kinds (default: all six)",
     )
     p.add_argument(
-        "--chaos-requests", type=int, default=500,
-        help="seeded requests per fault kind for --chaos",
+        "--rate", type=float, default=None, help="per-frame fault probability"
     )
+    p.add_argument(
+        "--requests", type=int, default=None,
+        help="seeded requests per fault kind",
+    )
+    p.add_argument(
+        "--clients", type=int, default=None, help="concurrent clients"
+    )
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     add_serve_config_arguments(p)
-    p.set_defaults(fn=_cmd_serve_load)
+    p.set_defaults(fn=_cmd_serve_chaos)
 
     p = sub.add_parser(
         "trace",

@@ -805,8 +805,8 @@ def _search_for(deduped: TruthMatrix, engine: str):
 
 def clear_search_cache() -> None:
     """Drop every in-process search object (the persistent on-disk cache,
-    if configured, is unaffected — that is exactly what lets the bench
-    measure disk-cache warmth honestly)."""
+    if configured, is unaffected — that is exactly what lets the warm-cache
+    tests and perfbench's exact_batch measure disk-cache warmth honestly)."""
     with _SEARCH_CACHE_LOCK:
         _SEARCH_CACHE.clear()
 

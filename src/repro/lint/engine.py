@@ -3,8 +3,8 @@
 The engine never imports the code it checks — everything is :mod:`ast`
 over source text — so linting cannot execute side effects, and fixture
 trees full of deliberate violations are safe to scan.  Observability goes
-through :mod:`repro.obs` (``lint.*`` counters), mirroring the bench and
-the scenario matrix.
+through :mod:`repro.obs` (``lint.*`` counters), mirroring the exact
+kernels and the scenario matrix.
 """
 
 from __future__ import annotations

@@ -63,8 +63,9 @@ DET203 = register_code(
     """Protocol scheduling uses a logical tick counter precisely so that
 timeout/retransmission behavior replays bit-identically; a time.time()
 or datetime.now() call reintroduces the wall clock and with it run-to-run
-divergence.  Benchmark harnesses (repro.bench, repro.obs) live outside
-this scope on purpose.""",
+divergence.  Measurement code (repro.obs timers, the perfbench/
+benchmark, the slow speed-bar tests) lives outside this scope on
+purpose.""",
     "deadline = time.time() + 5.0",
     "yield Recv(n, timeout=5)  # logical ticks, scheduler-owned",
 )

@@ -20,7 +20,7 @@ Design constraints:
   :func:`snapshot` is called;
 * **process-local** — :func:`repro.util.parallel.parmap` workers each get
   their own registry; callers that care about worker-side counts must fold
-  them into the task's return value (the bench harness does);
+  them into the task's return value by hand;
 * **test-friendly** — :func:`reset` restores a clean slate, and
   :func:`scoped` gives a context manager that isolates a block's counts.
 

@@ -22,18 +22,18 @@ The layers, bottom to top:
   frames) behind ``python -m repro serve``.
 * :mod:`repro.serve.chaos` — the six fault kinds of
   :mod:`repro.comm.faults`, re-applied to *frames* instead of bits, plus
-  the standing gate: across seeded sweeps every request must terminate
-  with a correct result or a structured error — zero silent corruption,
-  zero hung connections.
-* :mod:`repro.serve.load` — the load-generation harness behind
-  ``python -m repro serve-load``: hundreds of concurrent simulated
-  clients on a seeded workload mix, latency percentiles and shed rates
-  into ``BENCH_SERVE.json``.
+  the standing gate behind ``python -m repro serve-chaos``: across seeded
+  sweeps every request must terminate with a correct result or a
+  structured error — zero silent corruption, zero hung connections, zero
+  lost requests.
 
 Everything protocol-visible is deterministic: deadlines are measured in
-service ticks (completed work units), never wall clock; the only wall
-reads live in the load harness's latency probes, behind documented lint
-pragmas.  See ``docs/serving.md`` for the full API and semantics.
+service ticks (completed work units), never wall clock.  The package
+makes no wall-clock reads at all; its one wall-clock use is the chaos
+gate's safety-net timeout, which turns a hung client into a counted
+``hung`` outcome.  Serve latency is measured from outside the library,
+by ``perfbench/serve_mixed.py``.  See ``docs/serving.md`` for the full
+API and semantics.
 """
 
 from repro.serve.chaos import (
@@ -44,7 +44,6 @@ from repro.serve.chaos import (
     chaos_sweep,
     make_frame_fault_model,
 )
-from repro.serve.load import LoadReport, run_bench_serve, run_load, write_bench_serve
 from repro.serve.server import serve_tcp
 from repro.serve.service import Service, ServiceConfig
 from repro.serve.wire import (
@@ -69,7 +68,6 @@ __all__ = [
     "FrameError",
     "FrameFaultModel",
     "FramePipe",
-    "LoadReport",
     "Request",
     "ServeChaosPoint",
     "Service",
@@ -82,10 +80,7 @@ __all__ = [
     "make_frame_fault_model",
     "ok_response",
     "request_frame",
-    "run_bench_serve",
-    "run_load",
     "serve_tcp",
     "validate_request",
     "validate_response",
-    "write_bench_serve",
 ]

@@ -20,11 +20,14 @@ so no outcome is ever "wait forever": every request terminates as a
 correct result, a structured error, or (measurably) lost.
 
 The standing gate (:func:`chaos_sweep`, also ``python -m repro
-serve-load --chaos``): across seeded sweeps of every kind, each
-response is compared against the gold-standard answer computed by
-calling the same pure handler directly — **zero silent corruption**
-(never ``ok`` with a wrong answer, never a wrong structured verdict)
-and **zero hung connections** (every client coroutine completes).
+serve-chaos``): across seeded sweeps of every kind, each response is
+compared against the gold-standard answer computed by calling the same
+pure handler directly — **zero silent corruption** (never ``ok`` with a
+wrong answer, never a wrong structured verdict), **zero hung
+connections** (every client coroutine completes) and **zero lost
+requests** (no request exhausts its :data:`MAX_ATTEMPTS` retries).  At
+rate 0 the same sweep is a clean load run, which the service tests use
+to gate that clean load loses nothing and that overload sheds.
 """
 
 from __future__ import annotations
@@ -151,10 +154,12 @@ class FramePipe:
 class ServeChaosPoint:
     """One (kind, rate) cell of the service chaos sweep.
 
-    The gate reads two fields: ``silent_wrong`` (an ``ok`` response whose
-    result differs from the gold standard, or a final structured verdict
-    with the wrong code — the service lied) and ``hung`` (a client
-    coroutine that never completed).  Both must be zero at every cell.
+    The gate reads three fields: ``silent_wrong`` (an ``ok`` response
+    whose result differs from the gold standard, or a final structured
+    verdict with the wrong code — the service lied), ``hung`` (a client
+    coroutine that never completed) and ``lost`` (a request that used up
+    its bounded retries without a definite verdict).  All three must be
+    zero at every cell.
     """
 
     kind: str
@@ -199,8 +204,8 @@ def make_workload(seed: int, count: int) -> list[dict]:
 
     The ``protocol.run`` mix is drawn from
     :func:`repro.matrix.scenarios.canonical_scenarios` — the live
-    scenarios the scenario matrix measures and gates — so the service's
-    load harness exercises exactly the workload the matrix certifies.
+    scenarios the scenario matrix measures and gates — so the chaos gate
+    exercises exactly the workload the matrix certifies.
     """
     from repro.matrix.scenarios import canonical_scenarios
 
@@ -301,6 +306,7 @@ async def _chaos_client(
             for delivered in request_pipe.transfer(frame):
                 raw = await service.call(delivered, tenant=tenant)
                 responses.extend(response_pipe.transfer(raw))
+            backoff = 0
             for raw in responses:
                 try:
                     decoded = wire.validate_response(wire.decode_frame(raw))
@@ -313,12 +319,18 @@ async def _chaos_client(
                     break
                 error = decoded["error"]
                 if error["retryable"]:
-                    continue  # shed/garbled/expired: back off and resend
+                    # shed/garbled/expired: back off and resend
+                    backoff = max(backoff, error["backoff_ticks"])
+                    continue
                 verdict = ("error", error["code"])
                 break
             if verdict is not None:
                 break
             point.retries += 1
+            # Honour the server's backoff guidance by yielding the loop
+            # that many scheduling rounds — deterministic, no wall sleep.
+            for _ in range(max(1, backoff)):
+                await asyncio.sleep(0)
         _score(point, verdict, golds[job_index])
 
 
@@ -397,8 +409,8 @@ def chaos_sweep(
     For every fault kind: run ``requests_per_kind`` seeded requests from
     ``clients`` concurrent clients through faulty pipes against a live
     service, compare every definite verdict against the gold-standard
-    in-process answer, and report silent corruption / hung connections
-    (both must be zero) plus loss and retry pressure.
+    in-process answer, and report silent corruption, hung connections and
+    lost requests (all must be zero) plus retry pressure.
     """
     config = config or ServiceConfig()
     points: list[ServeChaosPoint] = []

@@ -439,8 +439,8 @@ def directory(path, capacity: int = DEFAULT_CAPACITY, label: str = "trace"):
 
 @contextmanager
 def disabled():
-    """Scoped off-switch: no tracing inside the block (used by the bench
-    harness so instrumented timings never pay trace overhead)."""
+    """Scoped off-switch: no tracing inside the block (for timing code
+    whose instrumented timings must never pay trace overhead)."""
     with _LOCK:
         saved = (_CONFIGURED, _CONFIGURED_SET)
     configure(None)

@@ -1,4 +1,10 @@
-"""The search entry points round-tripping through a real store on disk."""
+"""The search entry points round-tripping through a real store on disk.
+
+One ``slow`` test holds a warm partition sweep to its speed bar over a
+cold one.
+"""
+
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +17,9 @@ from repro.comm.exhaustive import (
     optimal_protocol_tree,
     partition_number,
 )
+from repro.comm.partition_search import best_partition_cc
 from repro.comm.truth_matrix import TruthMatrix
+from repro.util.rng import ReproducibleRNG
 
 
 def tm_from(array) -> TruthMatrix:
@@ -119,3 +127,59 @@ class TestCrossEngineIsolation:
                 path.write_text("garbage")
             clear_search_cache()
             assert communication_complexity(tm) == cold
+
+
+def _eq_pairs_4(bits) -> bool:
+    """Left pair equals right pair."""
+    return bits[0] == bits[2] and bits[1] == bits[3]
+
+
+class _SeededRandomPredicate:
+    """A pinned random function: hard under every partition, so each cold
+    cell pays a real search while a warm cell is hashing plus one disk read.
+    A class, not a closure, so parmap workers can pickle it."""
+
+    def __init__(self, total_bits: int, seed: int):
+        self.table = tuple(ReproducibleRNG(seed).bit_vector(1 << total_bits))
+
+    def __call__(self, bits) -> bool:
+        index = 0
+        for bit in bits:
+            index = (index << 1) | bit
+        return bool(self.table[index])
+
+
+def _cold_then_warm(predicate, total_bits, directory):
+    """Two timed partition sweeps through one store, LRU cleared between,
+    so the warm sweep's only advantage is the disk."""
+    runs = []
+    with cache.directory(directory) as store:
+        for _ in range(2):
+            clear_search_cache()
+            t0 = time.perf_counter()
+            result = best_partition_cc(predicate, total_bits)
+            runs.append((result, time.perf_counter() - t0))
+        stats = store.stats()
+    (cold, cold_s), (warm, warm_s) = runs
+    assert warm.costs == cold.costs
+    return cold, cold_s / warm_s, stats
+
+
+class TestPartitionSweep:
+    def test_warm_sweep_reads_one_record_per_partition(self, tmp_path):
+        cold, _, stats = _cold_then_warm(_eq_pairs_4, 4, tmp_path)
+        # Every partition's deduped matrix landed one record with a d field.
+        assert stats["entries"] == len(cold.costs)
+        assert stats["fields"]["d"] == len(cold.costs)
+
+
+#: The bar for a warm partition sweep over a cold one.
+CACHE_SPEEDUP_BAR = 10.0
+
+
+@pytest.mark.slow
+def test_warm_cache_speedup_bar(tmp_path):
+    _, speedup, _ = _cold_then_warm(_SeededRandomPredicate(8, 1989), 8, tmp_path)
+    assert speedup >= CACHE_SPEEDUP_BAR, (
+        f"warm cache bar missed: {speedup:.1f}x < {CACHE_SPEEDUP_BAR:g}x"
+    )

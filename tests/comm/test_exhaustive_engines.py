@@ -6,15 +6,18 @@ which makes agreement the whole ballgame.  Hypothesis drives random small
 matrices through both engines and demands identical D(f) and d^P(f); the
 canonical functions (EQ, GT, IP, DISJ, 2x2 singularity) pin the absolute
 values; protocol trees from both engines must be depth-optimal and compute
-the function everywhere.
+the function everywhere.  One ``slow`` test holds the bitset engine to its
+speed bar over legacy on the E15 suite.
 """
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import cache, obs
 from repro.comm.exhaustive import (
     ENGINES,
     clear_search_cache,
@@ -25,6 +28,7 @@ from repro.comm.exhaustive import (
 )
 from repro.comm.partition import Partition
 from repro.comm.truth_matrix import TruthMatrix, truth_matrix_from_function
+from repro.util.rng import ReproducibleRNG
 
 
 def tm_from(array) -> TruthMatrix:
@@ -165,3 +169,32 @@ class TestSharedMemo:
         stats = search_cache_stats()
         assert stats["size"] == 2
         assert {e["engine"] for e in stats["entries"]} == set(ENGINES)
+
+
+#: The bar for the bitset engine over legacy on the E15 suite.
+EXACT_SPEEDUP_BAR = 5.0
+
+
+@pytest.mark.slow
+def test_bitset_speedup_bar():
+    """Summed D(f) search time over EQ8, GT8 and a seeded random 8x8."""
+    rng = ReproducibleRNG(1515)
+    suite = [
+        tm_from(np.eye(8, dtype=np.uint8)),
+        tm_from([[1 if i > j else 0 for j in range(8)] for i in range(8)]),
+        tm_from([rng.bit_vector(8) for _ in range(8)]),
+    ]
+    seconds = {engine: 0.0 for engine in ("legacy", "bitset")}
+    with cache.disabled():
+        for tm in suite:
+            values = set()
+            for engine in seconds:
+                clear_search_cache()
+                t0 = time.perf_counter()
+                values.add(communication_complexity(tm, engine=engine))
+                seconds[engine] += time.perf_counter() - t0
+            assert len(values) == 1
+    speedup = seconds["legacy"] / seconds["bitset"]
+    assert speedup >= EXACT_SPEEDUP_BAR, (
+        f"bitset vs legacy bar missed: {speedup:.1f}x < {EXACT_SPEEDUP_BAR:g}x"
+    )

@@ -6,19 +6,27 @@ claim (docs/performance.md §6) is that a split is only dropped when a
 *witnessed* cost proves it cannot win.  The executable form of that claim:
 the returned integers are identical at every worker count — Hypothesis
 over random ≤6×6 matrices, workers ∈ {1, 2, 4}, both D(f) and d^P(f).
+One ``slow`` test holds the fan-out to its speed bar on a pinned hard
+instance.
 """
 
+import time
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cache
 from repro.comm.exhaustive import (
+    clear_search_cache,
     communication_complexity,
     configure_search_cache,
     partition_number,
     search_cache_stats,
 )
 from repro.comm.truth_matrix import TruthMatrix
+from repro.util.rng import ReproducibleRNG
 
 WORKERS = (1, 2, 4)
 
@@ -128,3 +136,31 @@ class TestSearchCacheConfiguration:
             configure_search_cache()
         monkeypatch.delenv("REPRO_SEARCH_CACHE_LIMIT")
         configure_search_cache()
+
+
+#: The bar for d^P at 4 workers over the sequential bitset search.
+PARALLEL_SEARCH_SPEEDUP_BAR = 3.0
+
+
+@pytest.mark.slow
+def test_parallel_search_speedup_bar():
+    """d^P of the pinned 12x14 seed-3 instance, 1 worker vs 4.
+
+    The win is algorithmic (seeded witnessed bound + budgeted pruning), so
+    the bar holds even when the host has fewer than 4 cores.
+    """
+    rng = ReproducibleRNG(3)
+    tm = tm_from([rng.bit_vector(14) for _ in range(12)])
+    seconds, values = {}, set()
+    with cache.disabled():
+        for workers in (1, 4):
+            clear_search_cache()
+            t0 = time.perf_counter()
+            values.add(partition_number(tm, workers=workers))
+            seconds[workers] = time.perf_counter() - t0
+    assert len(values) == 1
+    speedup = seconds[1] / seconds[4]
+    assert speedup >= PARALLEL_SEARCH_SPEEDUP_BAR, (
+        f"parallel d^P bar missed: {speedup:.1f}x < "
+        f"{PARALLEL_SEARCH_SPEEDUP_BAR:g}x at 4 workers"
+    )

@@ -13,8 +13,12 @@ predicate, and demands agreement:
 * the restricted truth matrix: ``fraction`` vs ``modnp`` engines must be
   byte-identical, and :func:`completed_columns` must be bit-identical at
   workers ∈ {1, 2, 4}.
+
+One ``slow`` test also holds modnp to its speed bar over ``fraction`` on
+the pinned E6-scale build.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +140,39 @@ class TestTruthMatrixEngines:
 
         with pytest.raises(ValueError, match="unknown engine"):
             tb.restricted_truth_matrix(RestrictedFamily(5, 3), [], [], engine="gpu")
+
+
+#: The bar for modnp over fraction on the pinned E6-scale build.
+MODNP_SPEEDUP_BAR = 5.0
+
+
+@pytest.mark.slow
+def test_modnp_speedup_bar():
+    """Best-of-3 wall time of the pinned E6-scale build (n=5, k=3, 25 rows)."""
+    from repro import cache
+    from repro.singularity import truth_builder as tb
+    from repro.singularity.family import RestrictedFamily
+    from repro.util.rng import ReproducibleRNG
+
+    fam = RestrictedFamily(5, 3)
+    rng = ReproducibleRNG(1989)
+    rows = tb.sample_distinct_rows(fam, rng, 25)
+    columns = tb.completed_columns(fam, rows[:12], rng, 1)
+    columns += tb.random_columns(fam, rng, 60)
+    seconds, data = {}, {}
+    with cache.disabled():
+        for engine in ("fraction", "modnp"):
+            seconds[engine] = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                tm = tb.restricted_truth_matrix(fam, rows, columns, engine=engine)
+                seconds[engine] = min(seconds[engine], time.perf_counter() - t0)
+            data[engine] = tm.data.tobytes()
+    assert data["fraction"] == data["modnp"]
+    speedup = seconds["fraction"] / seconds["modnp"]
+    assert speedup >= MODNP_SPEEDUP_BAR, (
+        f"modnp vs fraction bar missed: {speedup:.1f}x < {MODNP_SPEEDUP_BAR:g}x"
+    )
 
 
 class TestParmapDeterminism:

@@ -38,7 +38,7 @@ def leaks_param_order(params):
 
 
 def latency_probe():
-    # the real repro.serve.load pattern: declared, documented, suppressed
+    # a measurement-only wall read: declared, documented, suppressed
     return time.perf_counter()  # repro-lint: disable=DET203 -- latency probe
 
 

@@ -131,6 +131,14 @@ class TestChaosGate:
         assert point.silent_wrong == 0
         assert point.hung == 0
 
+    def test_faulted_load_still_terminates_everything(self):
+        (point,) = chaos_sweep(
+            kinds=("drop",), rate=0.15, requests_per_kind=30, clients=10, seed=1
+        )
+        assert point.lost == 0  # bounded retries still settle every request
+        assert point.ok + point.expected_errors == point.requests
+        assert point.retries > 0
+
     def test_point_serialization(self):
         point = ServeChaosPoint(kind="flip", rate=0.1, requests=10, ok=10)
         as_dict = point.as_dict()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.serve import wire
+from repro.serve.chaos import chaos_sweep
 from repro.serve.service import (
     HandlerError,
     Service,
@@ -30,6 +31,15 @@ def response_of(raw: bytes) -> dict:
 async def one_call(data: bytes, config: ServiceConfig | None = None, tenant="t"):
     async with Service(config) as service:
         return response_of(await service.call(data, tenant=tenant))
+
+
+def clean_load(clients: int, requests: int, seed: int, config=None):
+    """The seeded mixed workload from concurrent retrying clients, no faults."""
+    (point,) = chaos_sweep(
+        kinds=("flip",), rate=0.0, requests_per_kind=requests,
+        clients=clients, seed=seed, config=config,
+    )
+    return point
 
 
 class TestHandlers:
@@ -162,6 +172,14 @@ class TestCoalescing:
             + counters.get("serve.memo_hits", 0)
         ) == 5
 
+    def test_coalescing_pays_under_clean_load(self):
+        point = clean_load(clients=20, requests=80, seed=0)
+        saved = point.counters.get("serve.memo_hits", 0) + point.counters.get(
+            "serve.coalesced", 0
+        )
+        assert saved > 0
+        assert point.counters["serve.executed"] < point.requests
+
 
 class TestAdmissionAndShedding:
     def test_tenant_inflight_cap(self):
@@ -220,6 +238,23 @@ class TestAdmissionAndShedding:
         for r in shed:
             assert r["error"]["retryable"] is True
             assert r["error"]["backoff_ticks"] >= 1
+
+    def test_clean_load_loses_nothing(self):
+        first = clean_load(clients=8, requests=24, seed=2)
+        assert first.lost == first.hung == first.retries == 0
+        assert first.ok + first.expected_errors == first.requests
+        assert first.as_dict() == clean_load(clients=8, requests=24, seed=2).as_dict()
+
+    def test_overload_sheds_and_backed_off_retries_lose_nothing(self):
+        point = clean_load(
+            clients=30, requests=60, seed=0,
+            config=ServiceConfig(max_queue=2, workers=1),
+        )
+        # With a starved queue the shed path must actually fire …
+        assert point.counters.get("serve.shed.overloaded", 0) > 0
+        assert point.retries > 0
+        # … and clients that honour backoff_ticks still settle every request.
+        assert point.lost == point.hung == point.silent_wrong == 0
 
     def test_unstarted_service_reports_shutting_down(self):
         raw = run(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.exact.rank import is_singular
 from repro.singularity.family import RestrictedFamily
 from repro.singularity.truth_builder import (
@@ -64,6 +65,20 @@ class TestTruthMatrix:
         columns = completed_columns(fam53, rows[:3], rng)
         tm = restricted_truth_matrix(fam53, rows, columns)
         assert tm.ones_count() >= 3
+
+    def test_engine_builds_record_their_obs(self, fam53):
+        rng = ReproducibleRNG(1989)
+        rows = sample_distinct_rows(fam53, rng, 10)
+        columns = completed_columns(fam53, rows[:5], rng, 1)
+        columns += random_columns(fam53, rng, 12)
+        with obs.scoped():
+            for engine in ("fraction", "modnp"):
+                restricted_truth_matrix(fam53, rows, columns, engine=engine)
+            snapshot = obs.snapshot()
+        # The modnp fast path must actually have filtered something.
+        assert snapshot["counters"].get("truth_builder.modnp_filtered", 0) > 0
+        assert "truth_builder.fraction" in snapshot["timers"]
+        assert "truth_builder.modnp" in snapshot["timers"]
 
 
 class TestPipeline:

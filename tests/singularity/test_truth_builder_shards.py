@@ -4,8 +4,12 @@ The streamed builder's whole contract is one sentence: however a build is
 cut into blocks, killed, resumed, or fanned out, the reassembled
 TruthMatrix is byte-for-byte the single-pass matrix.  Hypothesis drives
 the kill point and block grid; the fixed tests pin worker fan-out, the
-fraction engine, and the resume counters.
+fraction engine, and the resume counters.  One ``slow`` test holds resume
+(and, given the cores, fan-out) to its speed bar over a cold build.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -149,3 +153,55 @@ class TestValidation:
     def test_build_and_dtype(self, baseline):
         _family, _rows, _cols, base = baseline
         assert base.data.dtype == np.uint8
+
+
+#: The bar for a resumed (and, given the cores, a fanned-out) build over a
+#: cold single-pass build.
+SHARDED_SPEEDUP_BAR = 3.0
+
+
+@pytest.mark.slow
+def test_shard_resume_speedup_bar(tmp_path):
+    """A 40x452 fraction-engine build: cold vs 4-worker stream vs resume.
+
+    Resume is pure reads plus reassembly, so its bar holds on any host; the
+    fan-out bar is gated only when 4 cores are really usable, because a
+    smaller box serializes the pool whatever the code does.
+    """
+    family = RestrictedFamily(5, 3)
+    rng = ReproducibleRNG(1989)
+    rows = sample_distinct_rows(family, rng, 40)
+    cols = completed_columns(family, rows[:12], rng, 1)
+    cols += random_columns(family, rng, 440)
+    workers = 4
+    t0 = time.perf_counter()
+    cold = restricted_truth_matrix(family, rows, cols, engine="fraction")
+    cold_s = time.perf_counter() - t0
+    with cache.directory(tmp_path):
+        t0 = time.perf_counter()
+        streamed = sharded_truth_matrix(
+            family, rows, cols, engine="fraction", block_size=16, workers=workers
+        )
+        streamed_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        resumed = sharded_truth_matrix(
+            family, rows, cols, engine="fraction", block_size=16
+        )
+        resumed_s = time.perf_counter() - t0
+    assert streamed.data.tobytes() == cold.data.tobytes()
+    assert resumed.data.tobytes() == cold.data.tobytes()
+    resume_speedup = cold_s / resumed_s
+    assert resume_speedup >= SHARDED_SPEEDUP_BAR, (
+        f"shard resume bar missed: {resume_speedup:.1f}x < "
+        f"{SHARDED_SPEEDUP_BAR:g}x"
+    )
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    if cores >= workers:
+        fanout_speedup = cold_s / streamed_s
+        assert fanout_speedup >= SHARDED_SPEEDUP_BAR, (
+            f"shard fan-out bar missed: {fanout_speedup:.1f}x < "
+            f"{SHARDED_SPEEDUP_BAR:g}x at {workers} workers"
+        )

@@ -86,40 +86,43 @@ class TestMatrixCommand:
 
 
 class TestServeCommands:
-    def test_serve_load_bench(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_SERVE.json"
+    def test_serve_chaos_gate(self, capsys):
         assert main([
-            "serve-load", "--clients", "6", "--requests", "2",
-            "--out", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "clean" in text and "p50=" in text
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["schema"] == 1
-        for phase in report["phases"].values():
-            assert set(phase["latency_ms"]) == {"p50", "p95", "p99"}
-            assert "shed_rate" in phase
-
-    def test_serve_load_chaos_gate(self, capsys):
-        assert main([
-            "serve-load", "--chaos", "--kinds", "erase,duplicate",
-            "--chaos-requests", "20", "--clients", "4",
+            "serve-chaos", "--kinds", "erase,duplicate",
+            "--requests", "20", "--clients", "4",
         ]) == 0
         out = capsys.readouterr().out
         assert "no silent corruption" in out
+        assert "no lost requests" in out
 
-    def test_serve_load_chaos_json(self, capsys):
+    def test_serve_chaos_json(self, capsys):
         import json
 
         assert main([
-            "serve-load", "--chaos", "--kinds", "flip",
-            "--chaos-requests", "15", "--clients", "3", "--json",
+            "serve-chaos", "--kinds", "flip",
+            "--requests", "15", "--clients", "3", "--json",
         ]) == 0
         points = json.loads(capsys.readouterr().out)
         assert points[0]["silent_wrong"] == 0
         assert points[0]["hung"] == 0
+        assert points[0]["lost"] == 0
+
+    def test_serve_chaos_lost_request_fails_the_gate(self, monkeypatch, capsys):
+        from repro.serve import chaos
+
+        calls = []
+
+        def one_lost(**kwargs):
+            calls.append(kwargs)
+            return [chaos.ServeChaosPoint(
+                kind="drop", rate=0.05, requests=3, ok=2, lost=1,
+            )]
+
+        monkeypatch.setattr(chaos, "chaos_sweep", one_lost)
+        assert main(["serve-chaos"]) == 1
+        assert "gate VIOLATED: 1 silent/hung/lost" in capsys.readouterr().out
+        # Unset options fall through to chaos_sweep's own defaults.
+        assert set(calls[0]) == {"config"}
 
     def test_serve_bounded_run(self, capsys):
         import asyncio

@@ -21,15 +21,33 @@ SCHEMA_V1_EVENT_KEYS = {
 }
 
 
+def _quick_e15_suite():
+    """The quick E15 D(f) suite: EQ6, GT6 and a seeded random 6x6."""
+    import numpy as np
+
+    from repro.comm.truth_matrix import TruthMatrix
+    from repro.util.rng import ReproducibleRNG
+
+    def tm_from(array):
+        a = np.array(array, dtype=np.uint8)
+        return TruthMatrix(a, tuple(range(a.shape[0])), tuple(range(a.shape[1])))
+
+    rng = ReproducibleRNG(1515)
+    return [
+        ("EQ6", tm_from(np.eye(6, dtype=np.uint8))),
+        ("GT6", tm_from([[1 if i > j else 0 for j in range(6)] for i in range(6)])),
+        ("RAND6", tm_from([rng.bit_vector(6) for _ in range(6)])),
+    ]
+
+
 def _traced_e15_search():
     """A traced run of the quick E15 D(f) suite (fresh search, no memo)."""
-    from repro.bench import _exact_search_suite
     from repro.comm.exhaustive import (
         clear_search_cache,
         communication_complexity,
     )
 
-    suite = _exact_search_suite(quick=True)
+    suite = _quick_e15_suite()
     clear_search_cache()
     with trace.capture() as tracer:
         values = {
