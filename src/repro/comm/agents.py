@@ -4,13 +4,16 @@ An *agent program* is a Python generator function.  It receives its local
 input (plus an optional public random string), and communicates by yielding
 effect objects:
 
-* ``yield Send(bits)``   — transmit bits to the peer;
-* ``bits = yield Recv(n)`` — block until n bits arrive, receive them;
-* ``bits = yield Recv(n, timeout=t)`` — same, but if the run stalls for
+* ``yield Send(value, width)`` — transmit the ``width``-bit payload
+  ``value`` to the peer (bit ``i`` of ``value`` is the ``i``-th bit on the
+  wire, so ``Send(bits_to_int(p), len(p))`` sends the bit list ``p``);
+* ``value = yield Recv(n)`` — block until n bits arrive, receive them
+  packed the same way, as one int;
+* ``value = yield Recv(n, timeout=t)`` — same, but if the run stalls for
   ``t`` ticks the agent is woken with ``None`` instead (the deterministic,
   wall-clock-free timeout the reliable transport builds retransmission on);
-* ``bits = yield Drain()`` — immediately receive whatever is queued
-  (possibly nothing) without blocking;
+* ``value, width = yield Drain()`` — immediately receive whatever is
+  queued (possibly nothing) without blocking;
 * ``return value``        — finish with a local output.
 
 The :func:`run_protocol` scheduler alternates the two generators with a
@@ -52,17 +55,24 @@ from repro.util.rng import ReproducibleRNG, derive_seed
 
 @dataclass(frozen=True)
 class Send:
-    """Effect: transmit ``bits`` (iterable of 0/1) to the peer."""
+    """Effect: transmit the ``width``-bit payload ``value`` to the peer.
 
-    bits: tuple[int, ...]
+    Bit ``i`` of ``value`` is the ``i``-th bit on the wire.  The range
+    ``0 <= value < 2**width`` is checked here, once per message, so a
+    malformed payload is an error of the agent that built it.
+    """
 
-    def __init__(self, bits):
-        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
+    value: int
+    width: int
+
+    def __post_init__(self):
+        if not (self.width >= 0 and 0 <= self.value < 1 << self.width):
+            raise ValueError(f"payload {self.value!r} is not a {self.width}-bit value")
 
 
 @dataclass(frozen=True)
 class Recv:
-    """Effect: wait for exactly ``nbits`` bits from the peer.
+    """Effect: wait for exactly ``nbits`` bits from the peer, as one int.
 
     With ``timeout=None`` (the default) the agent blocks until the bits
     arrive — or the run deadlocks.  With an integer ``timeout`` the agent
@@ -83,7 +93,8 @@ class Recv:
 
 @dataclass(frozen=True)
 class Drain:
-    """Effect: immediately receive all queued bits (never blocks).
+    """Effect: immediately receive all queued bits as ``(value, width)``
+    (never blocks).
 
     The reliable transport uses it to flush the unreadable tail of a
     corrupted or truncated frame so the bit stream realigns on the next
@@ -309,12 +320,12 @@ def _execute(
                     f"agent {agent} exceeded its step budget of {step_budget}"
                 )
             if isinstance(effect, Send):
-                state.sent_bits[agent] += len(effect.bits)
+                state.sent_bits[agent] += effect.width
                 if bit_budget is not None and state.sent_bits[agent] > bit_budget:
                     raise BudgetExceeded(
                         f"agent {agent} exceeded its bit budget of {bit_budget}"
                     )
-                channel.send(agent, effect.bits)
+                channel.send(agent, effect.value, effect.width)
             elif isinstance(effect, Recv):
                 if channel.available(agent) >= effect.nbits:
                     inject = channel.recv(agent, effect.nbits)
@@ -489,15 +500,12 @@ def run_supervised(
             outcome, detail = "agent_error", str(crash)
         except ProtocolError as exc:
             outcome, detail = "agent_error", f"ProtocolError: {exc}"
-        unread = sum(
-            len(channel._pending[i]) for i in (0, 1)  # noqa: SLF001 — own module
-        )
+        unread = channel.available(0) + channel.available(1)
         fault_events: tuple = ()
         fault_log = getattr(channel, "fault_log", None)
         if fault_log is not None:
             fault_events = tuple(fault_log.events)
-        if not channel._closed:  # noqa: SLF001
-            channel.close()
+        channel.close()
         transcript = channel.transcript
         fault_kinds = {} if fault_log is None else fault_log.kinds()
         trace.event(

@@ -185,3 +185,13 @@ def bits_to_int(bits: Sequence[int]) -> int:
     for b, bit in enumerate(bits):
         value |= (bit & 1) << b
     return value
+
+
+def unpack_rows(packed: int, rows: int, cols: int, width: int) -> list[list[int]]:
+    """The row-major ``width``-bit entries of a packed payload (LSB first
+    within an entry, the layout :meth:`MatrixBitCodec.encode` uses)."""
+    mask = (1 << width) - 1
+    return [
+        [packed >> (i * cols + j) * width & mask for j in range(cols)]
+        for i in range(rows)
+    ]

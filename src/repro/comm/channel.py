@@ -5,6 +5,10 @@ this channel, so the channel is the measurement instrument of the whole
 library.  It records a full transcript (direction, payload, round structure)
 and enforces the model's rules: bits only, no shared memory, messages are
 self-delimiting only through the protocol's own conventions.
+
+Every payload is a packed ``(value, width)`` pair: bit ``i`` of ``value``
+is the ``i``-th bit on the wire, so "only bits" is a property of the type
+(``0 <= value < 2**width``) rather than a per-bit check.
 """
 
 from __future__ import annotations
@@ -15,67 +19,76 @@ from repro import obs
 from repro.trace import core as trace
 
 
+def bit_string(value: int, width: int) -> str:
+    """The ``width`` wire bits of a packed payload, first bit first."""
+    return format(value, f"0{width}b")[::-1] if width else ""
+
+
 @dataclass(frozen=True)
 class Message:
     """One message on the channel.
 
     Attributes:
         sender: 0 or 1.
-        bits: the payload, as a tuple of 0/1 ints.
+        value: the packed payload; bit ``i`` is the ``i``-th bit on the wire.
+        width: the payload's length in bits (its communication cost).
     """
 
     sender: int
-    bits: tuple[int, ...]
+    value: int
+    width: int
 
     def __post_init__(self):
         if self.sender not in (0, 1):
             raise ValueError("sender must be agent 0 or 1")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("payload must consist of bits")
+        if not (self.width >= 0 and 0 <= self.value < 1 << self.width):
+            raise ValueError(f"payload {self.value!r} is not a {self.width}-bit value")
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.width
 
 
 @dataclass
 class Transcript:
-    """The full record of one protocol execution."""
+    """The full record of one protocol execution.
+
+    ``rounds`` is kept as messages are appended (build with the
+    constructor or :meth:`append`, never by mutating ``messages``).
+    """
 
     messages: list[Message] = field(default_factory=list)
+    #: Number of maximal same-sender runs (the round complexity).
+    #: Zero-length messages move no information, so they neither start
+    #: nor break a round -- exactly the protocol-tree notion where a round
+    #: is a maximal block of bits spoken by one agent
+    #: (:class:`repro.comm.protocol.TreeProtocol` walks owner blocks).
+    rounds: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self):
+        self._last_sender: int | None = None
+        messages, self.messages = self.messages, []
+        for message in messages:
+            self.append(message)
+
+    def append(self, message: Message) -> None:
+        """Record one message and advance the round count."""
+        self.messages.append(message)
+        if message.width and message.sender != self._last_sender:
+            self.rounds += 1
+            self._last_sender = message.sender
 
     @property
     def total_bits(self) -> int:
         """The quantity Comm(f, π, P) maximizes over inputs."""
-        return sum(len(m) for m in self.messages)
-
-    @property
-    def rounds(self) -> int:
-        """Number of maximal same-sender runs (the round complexity).
-
-        Zero-length messages move no information, so they neither start nor
-        break a round — exactly the protocol-tree notion where a round is a
-        maximal block of bits spoken by one agent
-        (:class:`repro.comm.protocol.TreeProtocol` walks owner blocks).
-        """
-        count = 0
-        last_sender = None
-        for m in self.messages:
-            if len(m) == 0:
-                continue
-            if m.sender != last_sender:
-                count += 1
-                last_sender = m.sender
-        return count
+        return sum(m.width for m in self.messages)
 
     def bits_from(self, agent: int) -> int:
         """Bits this agent sent."""
-        return sum(len(m) for m in self.messages if m.sender == agent)
+        return sum(m.width for m in self.messages if m.sender == agent)
 
     def as_bit_string(self) -> str:
         """The concatenated transcript bits (what a protocol tree leaf sees)."""
-        return "".join(
-            "".join(str(b) for b in m.bits) for m in self.messages
-        )
+        return "".join(bit_string(m.value, m.width) for m in self.messages)
 
 
 class ChannelClosed(Exception):
@@ -96,19 +109,16 @@ class TransportFailure(Exception):
 class BitChannel:
     """A duplex, counted, recorded bit pipe between agents 0 and 1.
 
-    The channel holds one pending FIFO per direction; the scheduler in
+    The channel holds one packed FIFO per direction -- a ``(value, width)``
+    pair whose bit ``i`` is the ``i``-th queued bit -- and the scheduler in
     :mod:`repro.comm.agents` moves control between the agents so a ``recv``
     always finds its bits (or deadlocks loudly).
     """
 
     def __init__(self):
         self.transcript = Transcript()
-        self._pending: list[list[int]] = [[], []]  # index = receiving agent
+        self._pending: list[tuple[int, int]] = [(0, 0), (0, 0)]  # by receiver
         self._closed = False
-        # O(1) round tracking so the trace layer can stamp each wire.send
-        # with its round number without rescanning the transcript.
-        self._rounds = 0
-        self._last_sender: int | None = None
 
     # ------------------------------------------------------------------
     # Agent-facing API
@@ -119,22 +129,14 @@ class BitChannel:
         if agent not in (0, 1):
             raise ValueError(f"{role} must be agent 0 or 1, got {agent!r}")
 
-    def send(self, sender: int, bits) -> None:
-        """Queue ``bits`` from ``sender`` to the other agent and record them."""
+    def send(self, sender: int, value: int, width: int) -> None:
+        """Queue the ``width``-bit payload ``value`` from ``sender`` to the
+        other agent and record it."""
         self._check_agent(sender, "sender")
         if self._closed:
             raise ChannelClosed("channel is closed")
-        payload = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in payload):
-            raise ValueError("only bits may be sent")
-        message = Message(sender, payload)
-        self.transcript.messages.append(message)
-        # Mirror Transcript.rounds: empty payloads do not open or break a
-        # round (no bit crossed the channel).
-        if payload and sender != self._last_sender:
-            self._rounds += 1
-            self._last_sender = sender
-        obs.counter("channel.wire_bits").inc(len(payload))
+        self.transcript.append(Message(sender, value, width))
+        obs.counter("channel.wire_bits").inc(width)
         tracer = trace.active_tracer()
         if tracer is not None:
             # The replayable wire transcript: sender, cost, round and the
@@ -142,29 +144,30 @@ class BitChannel:
             tracer.event(
                 "wire.send",
                 agent=sender,
-                bits=len(payload),
-                round=self._rounds,
-                payload="".join(str(b) for b in payload),
+                bits=width,
+                round=self.transcript.rounds,
+                payload=bit_string(value, width),
             )
-        self._deliver(1 - sender, payload)
+        self._deliver(1 - sender, value, width)
 
-    def _deliver(self, receiver: int, payload: tuple[int, ...]) -> None:
-        """Place payload bits on a receiver's pending FIFO.
+    def _deliver(self, receiver: int, value: int, width: int) -> None:
+        """Place a payload on a receiver's pending FIFO.
 
         Split out so fault-injecting subclasses
         (:class:`repro.comm.faults.FaultyChannel`) can corrupt, duplicate,
         delay or drop the delivery while the transcript above still records
         what the sender actually paid for.
         """
-        self._pending[receiver].extend(payload)
+        queued, count = self._pending[receiver]
+        self._pending[receiver] = (queued | value << count, count + width)
 
     def available(self, receiver: int) -> int:
         """How many bits are queued for ``receiver``."""
         self._check_agent(receiver, "receiver")
-        return len(self._pending[receiver])
+        return self._pending[receiver][1]
 
-    def recv(self, receiver: int, nbits: int) -> tuple[int, ...]:
-        """Dequeue exactly ``nbits`` bits addressed to ``receiver``.
+    def recv(self, receiver: int, nbits: int) -> int:
+        """Dequeue exactly ``nbits`` bits addressed to ``receiver``, packed.
 
         Raises :class:`BlockingIOError` if not enough bits are queued —
         the scheduler treats that as "switch to the other agent".
@@ -174,17 +177,16 @@ class BitChannel:
             raise ChannelClosed("channel is closed")
         if nbits < 0:
             raise ValueError("cannot receive a negative number of bits")
-        queue = self._pending[receiver]
-        if len(queue) < nbits:
+        queued, count = self._pending[receiver]
+        if count < nbits:
             raise BlockingIOError(
-                f"agent {receiver} wants {nbits} bits, only {len(queue)} queued"
+                f"agent {receiver} wants {nbits} bits, only {count} queued"
             )
-        out = tuple(queue[:nbits])
-        del queue[:nbits]
-        return out
+        self._pending[receiver] = (queued >> nbits, count - nbits)
+        return queued & ((1 << nbits) - 1)
 
-    def drain(self, receiver: int) -> tuple[int, ...]:
-        """Dequeue *everything* currently addressed to ``receiver``.
+    def drain(self, receiver: int) -> tuple[int, int]:
+        """Dequeue *everything* addressed to ``receiver`` as ``(value, width)``.
 
         The reliable-transport layer uses this to flush the tail of a
         corrupted or truncated frame before asking for a retransmission, so
@@ -193,9 +195,8 @@ class BitChannel:
         self._check_agent(receiver, "receiver")
         if self._closed:
             raise ChannelClosed("channel is closed")
-        queue = self._pending[receiver]
-        out = tuple(queue)
-        queue.clear()
+        out = self._pending[receiver]
+        self._pending[receiver] = (0, 0)
         return out
 
     # ------------------------------------------------------------------
@@ -207,10 +208,11 @@ class BitChannel:
         return self.transcript.total_bits
 
     def close(self) -> None:
-        """Shut the channel; further send/recv raises :class:`ChannelClosed`."""
+        """Shut the channel (idempotent); further send/recv raises
+        :class:`ChannelClosed`."""
         self._closed = True
 
     def drained(self) -> bool:
         """True when no sent bit remains unread (a well-formed protocol
         consumes everything it is sent)."""
-        return not self._pending[0] and not self._pending[1]
+        return not (self._pending[0][1] or self._pending[1][1])

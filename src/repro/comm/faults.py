@@ -7,7 +7,9 @@ randomized fingerprints) only carry their error guarantees over channels
 whose failures are *detected*.  This module supplies the misbehaviour:
 
 * :class:`FaultModel` — a seeded, pluggable corruption policy applied to
-  every delivery.  Concrete models: :class:`NoFaults`,
+  every delivery of a packed ``(value, width)`` payload: flips and bursts
+  XOR a mask into ``value``, an erasure keeps its low ``keep`` bits (a
+  prefix of the wire).  Concrete models: :class:`NoFaults`,
   :class:`BitFlipFaults` (independent flips at rate p),
   :class:`BurstFaults` (contiguous flip bursts), :class:`ErasureFaults`
   (tail truncation), :class:`DuplicateFaults` (repeated delivery),
@@ -91,7 +93,10 @@ class Delivery:
     """What a :class:`FaultModel` decided to do with one message.
 
     Attributes:
-        bits: the (possibly corrupted / truncated) payload to deliver.
+        value: the (possibly corrupted / truncated) packed payload to
+            deliver; bit ``i`` is the ``i``-th delivered bit.
+        width: how many bits are delivered (less than the sender's width
+            after an erasure).
         copies: how many identical copies to deliver (0 = fully erased,
             2 = duplicated, …).
         delay: hold delivery back until this many *further* messages have
@@ -102,7 +107,8 @@ class Delivery:
         events: the fault events to log for this message.
     """
 
-    bits: tuple[int, ...]
+    value: int
+    width: int
     copies: int = 1
     delay: int = 0
     drop_channel: bool = False
@@ -129,20 +135,17 @@ class FaultModel(ABC):
         )
 
     @abstractmethod
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
-        """Decide the fate of one message; return the :class:`Delivery`."""
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
+        """Decide the fate of one ``width``-bit message; return the
+        :class:`Delivery`."""
 
 
 class NoFaults(FaultModel):
     """The identity model: a perfect channel (useful as a baseline)."""
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Deliver the message untouched."""
-        return Delivery(bits)
+        return Delivery(value, width)
 
 
 class BitFlipFaults(FaultModel):
@@ -154,26 +157,14 @@ class BitFlipFaults(FaultModel):
         super().__init__(seed)
         self.p = p
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
-        """Flip an independent Bernoulli(p) subset of the payload bits."""
-        flipped: list[int] = []
-        out = list(bits)
-        for i in range(len(out)):
-            if self.rng.random() < self.p:
-                out[i] ^= 1
-                flipped.append(i)
-        delivery = Delivery(tuple(out))
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
+        """XOR the payload with a mask of independent Bernoulli(p) bits."""
+        flipped = [i for i in range(width) if self.rng.random() < self.p]
+        delivery = Delivery(value ^ sum(1 << i for i in flipped), width)
         if flipped:
+            detail = f"positions {flipped[:8]}{'…' if len(flipped) > 8 else ''}"
             delivery.events.append(
-                FaultEvent(
-                    message_index,
-                    sender,
-                    "flip",
-                    len(flipped),
-                    f"positions {flipped[:8]}{'…' if len(flipped) > 8 else ''}",
-                )
+                FaultEvent(message_index, sender, "flip", len(flipped), detail)
             )
         return delivery
 
@@ -190,33 +181,20 @@ class BurstFaults(FaultModel):
         self.p = p
         self.burst_len = burst_len
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
-        """Maybe flip one contiguous run of up to ``burst_len`` bits."""
-        if not bits or self.rng.random() >= self.p:
-            return Delivery(bits)
-        start = self.rng.randrange(len(bits))
-        length = min(self.burst_len, len(bits) - start)
-        out = list(bits)
-        for i in range(start, start + length):
-            out[i] ^= 1
-        return Delivery(
-            tuple(out),
-            events=[
-                FaultEvent(
-                    message_index,
-                    sender,
-                    "burst",
-                    length,
-                    f"burst [{start}, {start + length})",
-                )
-            ],
-        )
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
+        """Maybe XOR one contiguous run of up to ``burst_len`` bits."""
+        if not width or self.rng.random() >= self.p:
+            return Delivery(value, width)
+        start = self.rng.randrange(width)
+        length = min(self.burst_len, width - start)
+        detail = f"burst [{start}, {start + length})"
+        event = FaultEvent(message_index, sender, "burst", length, detail)
+        return Delivery(value ^ (((1 << length) - 1) << start), width, events=[event])
 
 
 class ErasureFaults(FaultModel):
-    """With probability ``p`` per message, truncate the payload's tail.
+    """With probability ``p`` per message, truncate the payload's tail
+    (only a prefix -- the low ``keep`` bits of the packed value -- arrives).
 
     Erasure on a bit FIFO manifests as *missing bits*: the receiver's
     ``Recv`` starves, which the reliable transport turns into a timeout,
@@ -229,25 +207,14 @@ class ErasureFaults(FaultModel):
         super().__init__(seed)
         self.p = p
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Maybe cut the message at a uniformly random point (possibly 0)."""
-        if not bits or self.rng.random() >= self.p:
-            return Delivery(bits)
-        keep = self.rng.randrange(len(bits))
-        return Delivery(
-            bits[:keep],
-            events=[
-                FaultEvent(
-                    message_index,
-                    sender,
-                    "erase",
-                    len(bits) - keep,
-                    f"kept {keep}/{len(bits)} bits",
-                )
-            ],
-        )
+        if not width or self.rng.random() >= self.p:
+            return Delivery(value, width)
+        keep = self.rng.randrange(width)
+        detail = f"kept {keep}/{width} bits"
+        event = FaultEvent(message_index, sender, "erase", width - keep, detail)
+        return Delivery(value & ((1 << keep) - 1), keep, events=[event])
 
 
 class DuplicateFaults(FaultModel):
@@ -259,21 +226,12 @@ class DuplicateFaults(FaultModel):
         super().__init__(seed)
         self.p = p
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Maybe deliver two back-to-back copies of the message."""
-        if not bits or self.rng.random() >= self.p:
-            return Delivery(bits)
-        return Delivery(
-            bits,
-            copies=2,
-            events=[
-                FaultEvent(
-                    message_index, sender, "duplicate", len(bits), "delivered twice"
-                )
-            ],
-        )
+        if not width or self.rng.random() >= self.p:
+            return Delivery(value, width)
+        event = FaultEvent(message_index, sender, "duplicate", width, "delivered twice")
+        return Delivery(value, width, copies=2, events=[event])
 
 
 class DelayFaults(FaultModel):
@@ -294,26 +252,14 @@ class DelayFaults(FaultModel):
         self.p = p
         self.max_delay = max_delay
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Maybe delay the delivery by 1..max_delay subsequent sends."""
-        if not bits or self.rng.random() >= self.p:
-            return Delivery(bits)
+        if not width or self.rng.random() >= self.p:
+            return Delivery(value, width)
         delay = self.rng.randrange(1, self.max_delay + 1)
-        return Delivery(
-            bits,
-            delay=delay,
-            events=[
-                FaultEvent(
-                    message_index,
-                    sender,
-                    "delay",
-                    len(bits),
-                    f"held for {delay} send(s)",
-                )
-            ],
-        )
+        detail = f"held for {delay} send(s)"
+        event = FaultEvent(message_index, sender, "delay", width, detail)
+        return Delivery(value, width, delay=delay, events=[event])
 
 
 class ChannelDropFaults(FaultModel):
@@ -341,25 +287,16 @@ class ChannelDropFaults(FaultModel):
         self.after_messages = after_messages
         self.p = p
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Kill the channel at the configured point."""
         dead = (
             self.after_messages is not None
             and message_index >= self.after_messages
         ) or (self.p > 0.0 and self.rng.random() < self.p)
         if not dead:
-            return Delivery(bits)
-        return Delivery(
-            bits,
-            drop_channel=True,
-            events=[
-                FaultEvent(
-                    message_index, sender, "drop", len(bits), "channel dropped"
-                )
-            ],
-        )
+            return Delivery(value, width)
+        event = FaultEvent(message_index, sender, "drop", width, "channel dropped")
+        return Delivery(value, width, drop_channel=True, events=[event])
 
 
 class CompositeFaults(FaultModel):
@@ -380,14 +317,12 @@ class CompositeFaults(FaultModel):
         for model in self.models:
             model.reset()
 
-    def apply(
-        self, message_index: int, sender: int, bits: tuple[int, ...]
-    ) -> Delivery:
+    def apply(self, message_index: int, sender: int, value: int, width: int) -> Delivery:
         """Apply every member model in order, merging their decisions."""
-        out = Delivery(bits)
+        out = Delivery(value, width)
         for model in self.models:
-            step = model.apply(message_index, sender, out.bits)
-            out.bits = step.bits
+            step = model.apply(message_index, sender, out.value, out.width)
+            out.value, out.width = step.value, step.width
             out.copies *= step.copies
             out.delay += step.delay
             out.drop_channel = out.drop_channel or step.drop_channel
@@ -410,15 +345,15 @@ class FaultyChannel(BitChannel):
         self.fault_model = fault_model or NoFaults()
         self.fault_log = FaultLog()
         self.delivered_bits = 0
-        # (receiver, remaining_sends, payload) for delayed messages.
+        # [receiver, remaining_sends, value, width] for delayed messages.
         self._delayed: list[list] = []
 
-    def _deliver(self, receiver: int, payload: tuple[int, ...]) -> None:
+    def _deliver(self, receiver: int, value: int, width: int) -> None:
         """Pass the delivery through the fault model, then queue it."""
         message_index = len(self.transcript.messages) - 1
         sender = 1 - receiver
         self._release_delayed()
-        delivery = self.fault_model.apply(message_index, sender, payload)
+        delivery = self.fault_model.apply(message_index, sender, value, width)
         for event in delivery.events:
             self.fault_log.record(event)
         if delivery.drop_channel:
@@ -428,10 +363,14 @@ class FaultyChannel(BitChannel):
             )
         for _ in range(delivery.copies):
             if delivery.delay > 0:
-                self._delayed.append([receiver, delivery.delay, delivery.bits])
+                self._delayed.append([receiver, delivery.delay, delivery.value, delivery.width])
             else:
-                self._pending[receiver].extend(delivery.bits)
-                self.delivered_bits += len(delivery.bits)
+                self._enqueue(receiver, delivery.value, delivery.width)
+
+    def _enqueue(self, receiver: int, value: int, width: int) -> None:
+        """Queue delivered bits for the receiver, counting them."""
+        super()._deliver(receiver, value, width)
+        self.delivered_bits += width
 
     def _release_delayed(self) -> None:
         """Tick held-back messages and flush the ones whose delay expired."""
@@ -439,8 +378,7 @@ class FaultyChannel(BitChannel):
         for entry in self._delayed:
             entry[1] -= 1
             if entry[1] <= 0:
-                self._pending[entry[0]].extend(entry[2])
-                self.delivered_bits += len(entry[2])
+                self._enqueue(entry[0], entry[2], entry[3])
             else:
                 still_held.append(entry)
         self._delayed = still_held

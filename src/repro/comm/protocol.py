@@ -202,9 +202,9 @@ class TreeProtocol(TwoPartyProtocol):
         while isinstance(node, Node):
             if node.owner == me:
                 b = node.predicate(local_input)
-                yield Send([b])
+                yield Send(b, 1)
             else:
-                (b,) = yield Recv(1)
+                b = yield Recv(1)
             node = node.child1 if b else node.child0
         return node.value
 

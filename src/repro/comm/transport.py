@@ -8,8 +8,11 @@ it composes with any protocol via ``yield from``:
 
 * **Frames.**  A data frame is ``[type=0][seq][len][payload][crc16]``; a
   control frame is ``[type=1][flag][seq][crc16]`` with flag 1 = ACK,
-  0 = NAK.  The CRC is CRC-16-CCITT over everything before it, computed at
-  the bit level.
+  0 = NAK.  Fields are listed in wire order and a frame is one packed
+  ``(value, width)`` payload like any other message: each field is a
+  little-endian bit field of ``value`` (``type | seq << 1 | len << ...``),
+  so frames are built by shift-and-OR and parsed by shift-and-mask.  The
+  CRC is CRC-16-CCITT over every bit before it (see :func:`crc16`).
 * **Stop-and-wait ARQ.**  :meth:`ArqEndpoint.send` transmits a frame and
   waits for a matching ACK; on NAK, timeout or garble it retransmits with
   exponentially growing (deterministic, tick-based) timeouts, up to the
@@ -33,10 +36,9 @@ touching the protocol's code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.comm.agents import AgentProgram, Drain, ProtocolError, Recv, Send
-from repro.comm.bits import bits_to_int, int_to_bits
 from repro.comm.channel import TransportFailure
 from repro.trace import core as trace
 
@@ -49,24 +51,63 @@ NAK = 0
 #: CRC width in bits (CRC-16-CCITT).
 CRC_BITS = 16
 
-_CRC_POLY = 0x1021
 _CRC_INIT = 0xFFFF
+#: The CCITT polynomial 0x1021, bit-reversed for the reflected register.
+_CRC_POLY_REFLECTED = 0x8408
 
 
-def crc16(bits) -> list[int]:
-    """CRC-16-CCITT over a bit sequence, MSB-first, as 16 bits.
+def _clock(reg: int, steps: int) -> int:
+    """Shift the reflected CRC register ``steps`` times (input folded in)."""
+    for _ in range(steps):
+        reg = (reg >> 1) ^ (_CRC_POLY_REFLECTED if reg & 1 else 0)
+    return reg
 
-    Bitwise so it works directly on the channel's native representation.
+
+_CRC_TABLE = tuple(_clock(byte, 8) for byte in range(256))
+
+
+def crc16(value: int, width: int) -> int:
+    """CRC-16-CCITT of a ``width``-bit packed payload, as a 16-bit int.
+
+    The bits are fed in wire order (bit 0 of ``value`` first) into an
+    MSB-first register with init 0xFFFF and polynomial 0x1021, and bit
+    ``i`` of the result is the ``i``-th CRC bit on the wire.  Wire order
+    is LSB-first within each byte of ``value``, so the register runs
+    bit-reflected: a byte at a time through a 256-entry table, then the
+    ``width % 8`` tail bits one at a time, mirrored back at the end.
     Detects all 1- and 2-bit errors and any burst of ≤ 16 bits — exactly
     the damage the fault models inject most often.
     """
+    data = value.to_bytes((width + 7) >> 3, "little")
+    full, tail = divmod(width, 8)
     reg = _CRC_INIT
-    for b in bits:
-        msb = (reg >> 15) & 1
-        reg = (reg << 1) & 0xFFFF
-        if msb ^ (b & 1):
-            reg ^= _CRC_POLY
-    return list(int_to_bits(reg, CRC_BITS))
+    for byte in data[:full]:
+        reg = (reg >> 8) ^ _CRC_TABLE[(reg ^ byte) & 0xFF]
+    if tail:
+        reg = _clock(reg ^ data[full], tail)
+    return int(f"{reg:016b}"[::-1], 2)
+
+
+def _seal(body: int, width: int) -> tuple[int, int]:
+    """Append the CRC of a ``width``-bit frame body: the packed frame."""
+    return body | crc16(body, width) << width, width + CRC_BITS
+
+
+class _Frame(NamedTuple):
+    """One frame as :meth:`ArqEndpoint._read_frame` found it.
+
+    ``kind`` is :data:`DATA_FRAME`/:data:`CONTROL_FRAME`, or None when the
+    line stayed quiet.  ``status`` is ``"quiet"`` (nothing arrived),
+    ``"cut"`` (the frame stopped short of its length), ``"garbled"`` (CRC
+    mismatch) or ``"ok"``; the fields are meaningful only when ``"ok"``.
+    """
+
+    kind: int | None
+    status: str
+    seq: int = 0
+    flag: int = 0
+    payload: int = 0
+    length: int = 0
 
 
 @dataclass(frozen=True)
@@ -226,7 +267,7 @@ class ArqEndpoint:
     # A data frame accepted while we were waiting for an ACK (see
     # _handle_stray_data): the next recv() returns it without touching
     # the channel.
-    _stash: tuple[int, ...] | None = None
+    _stash: tuple[int, int] | None = None
 
     def _trace(self, name: str, **fields) -> None:
         """Emit one ARQ trace event tagged with this endpoint's agent id."""
@@ -235,71 +276,128 @@ class ArqEndpoint:
             tracer.event(name, agent=self.agent, **fields)
 
     # ------------------------------------------------------------------
-    # Frame building
+    # Frames
     # ------------------------------------------------------------------
-    def _data_frame(self, seq: int, payload) -> list[int]:
-        """[type=0][seq][len][payload][crc] as a bit list."""
+    def _data_frame(self, seq: int, payload: int, length: int) -> tuple[int, int]:
+        """[type=0][seq][len][payload][crc], packed."""
         cfg = self.config
         body = (
-            [DATA_FRAME]
-            + list(int_to_bits(seq, cfg.seq_bits))
-            + list(int_to_bits(len(payload), cfg.len_bits))
-            + list(payload)
+            DATA_FRAME
+            | seq << 1
+            | length << (1 + cfg.seq_bits)
+            | payload << cfg.data_header_bits
         )
-        return body + crc16(body)
+        return _seal(body, cfg.data_header_bits + length)
 
-    def _control_frame(self, flag: int, seq: int) -> list[int]:
-        """[type=1][flag][seq][crc] as a bit list."""
-        body = [CONTROL_FRAME, flag] + list(int_to_bits(seq, self.config.seq_bits))
-        return body + crc16(body)
-
-    def _put(self, frame: list[int]):
-        """Yield the Send for a frame, counting its wire bits."""
-        self.stats.wire_bits += len(frame)
-        yield Send(frame)
+    def _put(self, frame: tuple[int, int]):
+        """Yield the Send for a packed frame, counting its wire bits."""
+        self.stats.wire_bits += frame[1]
+        yield Send(*frame)
 
     def _put_control(self, flag: int, seq: int):
         """Build, bucket-account and transmit one ACK/NAK control frame."""
-        frame = self._control_frame(flag, seq)
-        self.stats.control_bits += len(frame)
+        frame = _seal(CONTROL_FRAME | flag << 1 | seq << 2, 2 + self.config.seq_bits)
+        self.stats.control_bits += frame[1]
         yield from self._put(frame)
+
+    def _read_frame(self, timeout: int) -> AgentProgram:
+        """Read one frame off the channel and check it (the one parser).
+
+        Receives the type bit, then either the rest of a control frame or
+        a data frame's ``[seq][len]`` head followed by ``len`` payload
+        bits and the CRC, each ``Recv`` waiting at most ``timeout`` ticks.
+        Returns a :class:`_Frame`; what to do about it is the caller's.
+        """
+        cfg = self.config
+        seq_mask = (1 << cfg.seq_bits) - 1
+        kind = yield Recv(1, timeout=timeout)
+        if kind is None:
+            return _Frame(None, "quiet")
+        if kind == CONTROL_FRAME:
+            rest = yield Recv(cfg.control_frame_bits - 1, timeout=timeout)
+            if rest is None:
+                return _Frame(CONTROL_FRAME, "cut")
+            fields = 1 + cfg.seq_bits
+            body = CONTROL_FRAME | (rest & ((1 << fields) - 1)) << 1
+            intact = crc16(body, 1 + fields) == rest >> fields
+            return _Frame(
+                CONTROL_FRAME,
+                "ok" if intact else "garbled",
+                seq=rest >> 1 & seq_mask,
+                flag=rest & 1,
+            )
+        head = yield Recv(cfg.seq_bits + cfg.len_bits, timeout=timeout)
+        if head is None:
+            return _Frame(DATA_FRAME, "cut")
+        length = head >> cfg.seq_bits
+        body = yield Recv(length + CRC_BITS, timeout=timeout)
+        if body is None:
+            return _Frame(DATA_FRAME, "cut")
+        payload = body & ((1 << length) - 1)
+        framed = DATA_FRAME | head << 1 | payload << cfg.data_header_bits
+        intact = crc16(framed, cfg.data_header_bits + length) == body >> length
+        return _Frame(
+            DATA_FRAME,
+            "ok" if intact else "garbled",
+            seq=head & seq_mask,
+            payload=payload,
+            length=length,
+        )
+
+    def _flush(self) -> AgentProgram:
+        """Drop whatever is queued so the stream realigns; the bit count."""
+        _, flushed = yield Drain()
+        self.stats.flushed_bits += flushed
+        return flushed
+
+    def _ack(self, seq: int, duplicate: bool) -> AgentProgram:
+        """ACK data frame ``seq`` (a ``duplicate`` is dropped, not delivered)."""
+        self.stats.acks_sent += 1
+        if duplicate:
+            self.stats.duplicates_dropped += 1
+        self._trace("arq.ack", seq=seq, duplicate=duplicate)
+        yield from self._put_control(ACK, seq)
+
+    def _accept(self, frame: _Frame) -> AgentProgram:
+        """ACK the expected data frame and advance the receive sequence."""
+        yield from self._ack(frame.seq, duplicate=False)
+        self._recv_expected = (frame.seq + 1) % (1 << self.config.seq_bits)
+        self.stats.frames_delivered += 1
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, payload) -> AgentProgram:
-        """Reliably deliver ``payload`` bits to the peer (``yield from`` me).
+    def send(self, value: int, width: int) -> AgentProgram:
+        """Reliably deliver a ``width``-bit payload to the peer
+        (``yield from`` me).
 
-        Splits into frames of at most ``config.max_payload`` bits; each
-        frame is retransmitted with exponential backoff until ACKed or the
-        retry budget dies (:class:`~repro.comm.channel.TransportFailure`).
+        Splits into frames of at most ``config.max_payload`` bits (an
+        empty payload still travels as one empty frame); each frame is
+        retransmitted with exponential backoff until ACKed or the retry
+        budget dies (:class:`~repro.comm.channel.TransportFailure`).
         """
-        payload = [int(b) for b in payload]
-        cfg = self.config
-        chunks = [
-            payload[i : i + cfg.max_payload]
-            for i in range(0, len(payload), cfg.max_payload)
-        ] or [[]]
-        for chunk in chunks:
-            yield from self._send_frame(chunk)
+        step = self.config.max_payload
+        for offset in range(0, max(width, 1), step):
+            length = min(step, width - offset)
+            yield from self._send_frame(value >> offset & ((1 << length) - 1), length)
 
-    def _send_frame(self, chunk: list[int]) -> AgentProgram:
+    def _send_frame(self, chunk: int, length: int) -> AgentProgram:
         """Stop-and-wait one frame through: transmit, await ACK, retry."""
         cfg = self.config
         seq = self._send_seq
-        frame = self._data_frame(seq, chunk)
+        frame = self._data_frame(seq, chunk, length)
         timeout = cfg.base_timeout
         for attempt in range(cfg.max_retries + 1):
             if attempt:
                 self.stats.retransmissions += 1
-                self.stats.retransmit_bits += len(frame)
+                self.stats.retransmit_bits += frame[1]
                 self._trace("arq.retransmit", seq=seq, attempt=attempt)
             else:
                 # Bucket the first transmission: the chunk's payload bits
                 # count only once they actually reach the wire (an aborted
                 # multi-chunk send must not inflate payload_bits), and the
                 # header + CRC land in the framing bucket.
-                self.stats.payload_bits += len(chunk)
+                self.stats.payload_bits += length
                 self.stats.framing_bits += cfg.data_header_bits + CRC_BITS
             self.stats.frames_sent += 1
             yield from self._put(frame)
@@ -310,49 +408,43 @@ class ArqEndpoint:
             timeout = min(timeout * 2, cfg.max_timeout)
         raise TransportFailure(
             f"retry budget ({cfg.max_retries}) exhausted for frame seq={seq} "
-            f"({len(chunk)} payload bits)"
+            f"({length} payload bits)"
         )
 
     def _await_ack(self, seq: int, timeout: int) -> AgentProgram:
         """Wait for the ACK of ``seq``; returns True to proceed, False to
         retransmit.  Tolerates stray data frames (fault duplicates) and
         stale control frames while waiting."""
-        cfg = self.config
-        for _ in range(4 + cfg.max_retries):
-            first = yield Recv(1, timeout=timeout)
-            if first is None:
+        for _ in range(4 + self.config.max_retries):
+            frame = yield from self._read_frame(timeout)
+            if frame.kind is None:
                 self.stats.timeouts += 1
                 self._trace("arq.timeout", awaiting="ack", seq=seq)
                 return False
-            if first[0] == DATA_FRAME:
-                verdict = yield from self._handle_stray_data(timeout)
+            if frame.kind == DATA_FRAME:
+                verdict = yield from self._handle_stray_data(frame)
                 if verdict == "acked":
                     return True  # implicit ACK: the peer has progressed
                 if verdict == "retry":
                     return False
                 continue
-            rest = yield Recv(cfg.control_frame_bits - 1, timeout=timeout)
-            if rest is None:
+            if frame.status == "cut":
                 self.stats.timeouts += 1
                 self._trace("arq.timeout", awaiting="ack_body", seq=seq)
                 return False
-            body = [CONTROL_FRAME] + list(rest[: 1 + cfg.seq_bits])
-            if crc16(body) != list(rest[1 + cfg.seq_bits :]):
+            if frame.status == "garbled":
                 self.stats.crc_failures += 1
                 self._trace("arq.crc_failure", frame="control")
-                flushed = yield Drain()
-                self.stats.flushed_bits += len(flushed)
+                yield from self._flush()
                 return False
-            flag = rest[0]
-            acked_seq = bits_to_int(rest[1 : 1 + cfg.seq_bits])
-            if flag == ACK and acked_seq == seq:
+            if frame.flag == ACK and frame.seq == seq:
                 return True
-            if flag == ACK:
+            if frame.flag == ACK:
                 continue  # stale duplicate ACK — keep waiting
             return False  # NAK — retransmit immediately
         return False
 
-    def _handle_stray_data(self, timeout: int) -> AgentProgram:
+    def _handle_stray_data(self, frame: _Frame) -> AgentProgram:
         """Deal with a data frame that arrives while we await an ACK.
 
         Three cases, returned as a verdict string:
@@ -367,50 +459,28 @@ class ArqEndpoint:
           in flight.  Treat it as an implicit ACK, ACK the new frame and
           stash its payload for the next :meth:`recv`.
         """
-        cfg = self.config
-        head = yield Recv(cfg.seq_bits + cfg.len_bits, timeout=timeout)
-        if head is None:
-            flushed = yield Drain()
-            self.stats.flushed_bits += len(flushed)
+        if frame.status != "ok":
+            if frame.status == "garbled":
+                self.stats.crc_failures += 1
+            yield from self._flush()
             return "retry"
-        length = bits_to_int(head[cfg.seq_bits :])
-        body = yield Recv(length + CRC_BITS, timeout=timeout)
-        if body is None:
-            flushed = yield Drain()
-            self.stats.flushed_bits += len(flushed)
-            return "retry"
-        payload = list(body[:length])
-        frame_body = [DATA_FRAME] + list(head) + payload
-        if crc16(frame_body) != list(body[length:]):
-            self.stats.crc_failures += 1
-            flushed = yield Drain()
-            self.stats.flushed_bits += len(flushed)
-            return "retry"
-        seq = bits_to_int(head[: cfg.seq_bits])
-        if seq != self._recv_expected:
-            self.stats.duplicates_dropped += 1
-            self.stats.acks_sent += 1
-            self._trace("arq.ack", seq=seq, duplicate=True)
-            yield from self._put_control(ACK, seq)
+        if frame.seq != self._recv_expected:
+            yield from self._ack(frame.seq, duplicate=True)
             return "continue"
         if self._stash is not None:
             # Can't hold two frames — treat as damage and resynchronize.
-            flushed = yield Drain()
-            self.stats.flushed_bits += len(flushed)
+            yield from self._flush()
             return "retry"
-        self.stats.acks_sent += 1
-        self._trace("arq.ack", seq=seq, duplicate=False)
-        yield from self._put_control(ACK, seq)
-        self._recv_expected = (seq + 1) % (1 << cfg.seq_bits)
-        self.stats.frames_delivered += 1
-        self._stash = tuple(payload)
+        yield from self._accept(frame)
+        self._stash = (frame.payload, frame.length)
         return "acked"
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
     def recv(self) -> AgentProgram:
-        """Reliably receive one frame's payload (``yield from`` me).
+        """Reliably receive one frame's payload as ``(value, width)``
+        (``yield from`` me).
 
         Validates CRC and sequence number; ACKs good frames, re-ACKs
         duplicates, NAKs damage after flushing the stream, and raises
@@ -418,69 +488,35 @@ class ArqEndpoint:
         dies without a good frame.
         """
         if self._stash is not None:
-            payload = self._stash
-            self._stash = None
+            payload, self._stash = self._stash, None
             return payload
         cfg = self.config
         timeout = cfg.base_timeout
         failures = 0
         while failures <= cfg.max_retries:
-            first = yield Recv(1, timeout=timeout)
-            if first is None:
-                self.stats.timeouts += 1
-                self._trace("arq.timeout", awaiting="data")
-                failures += 1
-                yield from self._flush_and_nak()
-                timeout = min(timeout * 2, cfg.max_timeout)
-                continue
-            if first[0] == CONTROL_FRAME:
+            frame = yield from self._read_frame(timeout)
+            if frame.kind == CONTROL_FRAME:
                 # Stale ACK/NAK from an earlier exchange — consume, ignore.
-                rest = yield Recv(cfg.control_frame_bits - 1, timeout=timeout)
-                if rest is None:
-                    flushed = yield Drain()
-                    self.stats.flushed_bits += len(flushed)
+                if frame.status == "cut":
+                    yield from self._flush()
                 continue
-            head = yield Recv(cfg.seq_bits + cfg.len_bits, timeout=timeout)
-            if head is None:
-                self.stats.timeouts += 1
-                self._trace("arq.timeout", awaiting="data")
-                failures += 1
-                yield from self._flush_and_nak()
-                timeout = min(timeout * 2, cfg.max_timeout)
-                continue
-            seq = bits_to_int(head[: cfg.seq_bits])
-            length = bits_to_int(head[cfg.seq_bits :])
-            body = yield Recv(length + CRC_BITS, timeout=timeout)
-            if body is None:
-                self.stats.timeouts += 1
-                self._trace("arq.timeout", awaiting="data")
-                failures += 1
-                yield from self._flush_and_nak()
-                timeout = min(timeout * 2, cfg.max_timeout)
-                continue
-            payload = list(body[:length])
-            frame_body = [DATA_FRAME] + list(head) + payload
-            if crc16(frame_body) != list(body[length:]):
-                self.stats.crc_failures += 1
-                self._trace("arq.crc_failure", frame="data")
-                failures += 1
-                yield from self._flush_and_nak()
-                timeout = min(timeout * 2, cfg.max_timeout)
-                continue
-            if seq != self._recv_expected:
+            if frame.status == "ok":
+                if frame.seq == self._recv_expected:
+                    yield from self._accept(frame)
+                    return frame.payload, frame.length
                 # A retransmission (or fault duplicate) of an old frame:
                 # its ACK must have been lost — re-ACK so the peer advances.
-                self.stats.duplicates_dropped += 1
-                self.stats.acks_sent += 1
-                self._trace("arq.ack", seq=seq, duplicate=True)
-                yield from self._put_control(ACK, seq)
+                yield from self._ack(frame.seq, duplicate=True)
                 continue
-            self.stats.acks_sent += 1
-            self._trace("arq.ack", seq=seq, duplicate=False)
-            yield from self._put_control(ACK, seq)
-            self._recv_expected = (seq + 1) % (1 << cfg.seq_bits)
-            self.stats.frames_delivered += 1
-            return tuple(payload)
+            if frame.status == "garbled":
+                self.stats.crc_failures += 1
+                self._trace("arq.crc_failure", frame="data")
+            else:  # nothing arrived, or the frame was cut short
+                self.stats.timeouts += 1
+                self._trace("arq.timeout", awaiting="data")
+            failures += 1
+            yield from self._flush_and_nak()
+            timeout = min(timeout * 2, cfg.max_timeout)
         raise TransportFailure(
             f"receive budget ({cfg.max_retries}) exhausted waiting for frame "
             f"seq={self._recv_expected}"
@@ -488,10 +524,9 @@ class ArqEndpoint:
 
     def _flush_and_nak(self) -> AgentProgram:
         """Drop whatever is queued and ask the peer to retransmit."""
-        flushed = yield Drain()
-        self.stats.flushed_bits += len(flushed)
+        flushed = yield from self._flush()
         self.stats.naks_sent += 1
-        self._trace("arq.nak", seq=self._recv_expected, flushed=len(flushed))
+        self._trace("arq.nak", seq=self._recv_expected, flushed=flushed)
         yield from self._put_control(NAK, self._recv_expected)
 
     # ------------------------------------------------------------------
@@ -507,39 +542,14 @@ class ArqEndpoint:
         """
         cfg = self.config
         for _ in range(cfg.max_retries + 1):
-            first = yield Recv(1, timeout=cfg.linger_timeout)
-            if first is None:
+            frame = yield from self._read_frame(cfg.linger_timeout)
+            if frame.kind is None:
                 return  # line quiet — peer is done too
-            if first[0] == CONTROL_FRAME:
-                rest = yield Recv(cfg.control_frame_bits - 1, timeout=cfg.linger_timeout)
-                if rest is None:
-                    flushed = yield Drain()
-                    self.stats.flushed_bits += len(flushed)
-                continue
-            head = yield Recv(
-                cfg.seq_bits + cfg.len_bits, timeout=cfg.linger_timeout
-            )
-            if head is None:
-                flushed = yield Drain()
-                self.stats.flushed_bits += len(flushed)
-                continue
-            seq = bits_to_int(head[: cfg.seq_bits])
-            length = bits_to_int(head[cfg.seq_bits :])
-            body = yield Recv(length + CRC_BITS, timeout=cfg.linger_timeout)
-            if body is None:
-                flushed = yield Drain()
-                self.stats.flushed_bits += len(flushed)
-                continue
-            frame_body = [DATA_FRAME] + list(head) + list(body[:length])
-            if crc16(frame_body) == list(body[length:]):
+            if frame.kind == DATA_FRAME and frame.status == "ok":
                 # A retransmission whose ACK was lost — re-ACK it.
-                self.stats.acks_sent += 1
-                self.stats.duplicates_dropped += 1
-                self._trace("arq.ack", seq=seq, duplicate=True)
-                yield from self._put_control(ACK, seq)
-            else:
-                flushed = yield Drain()
-                self.stats.flushed_bits += len(flushed)
+                yield from self._ack(frame.seq, duplicate=True)
+            elif frame.kind == DATA_FRAME or frame.status == "cut":
+                yield from self._flush()
 
 
 def arq_adapt(inner: AgentProgram, endpoint: ArqEndpoint) -> AgentProgram:
@@ -551,7 +561,7 @@ def arq_adapt(inner: AgentProgram, endpoint: ArqEndpoint) -> AgentProgram:
     program needs no changes and never sees a corrupted bit — it either
     gets clean data or the run ends in a structured transport failure.
     """
-    inbox: list[int] = []
+    inbox, queued = 0, 0  # packed undelivered payload bits, and how many
     inject: Any = None
     while True:
         try:
@@ -561,16 +571,18 @@ def arq_adapt(inner: AgentProgram, endpoint: ArqEndpoint) -> AgentProgram:
             return stop.value
         inject = None
         if isinstance(effect, Send):
-            yield from endpoint.send(effect.bits)
+            yield from endpoint.send(effect.value, effect.width)
         elif isinstance(effect, Recv):
-            while len(inbox) < effect.nbits:
-                payload = yield from endpoint.recv()
-                inbox.extend(payload)
-            inject = tuple(inbox[: effect.nbits])
-            del inbox[: effect.nbits]
+            while queued < effect.nbits:
+                payload, length = yield from endpoint.recv()
+                inbox |= payload << queued
+                queued += length
+            inject = inbox & ((1 << effect.nbits) - 1)
+            inbox >>= effect.nbits
+            queued -= effect.nbits
         elif isinstance(effect, Drain):
-            inject = tuple(inbox)
-            inbox.clear()
+            inject = (inbox, queued)
+            inbox, queued = 0, 0
         else:
             raise ProtocolError(
                 f"adapted program yielded {effect!r}; expected Send, Recv or Drain"

@@ -27,14 +27,18 @@ same string can be written down in a *declared plan*
 ``?``, ``unbounded`` carries ``UNBOUNDED``.
 
 Resolution rules (deliberately small, each one earned by a real
-protocol): single-assignment local dataflow; list-literal/``list()``/
-comprehension lengths; ``range(e)`` has length ``e``; one level of
-``self._helper()`` return-value resolution; ``int_to_bits(v, w)`` has
-length ``w``; ``random_prime_with_bits(_, b)`` yields a value whose
-``.bit_length()`` is exactly ``b`` (primes are drawn with their top bit
-set); and accumulator loops (``payload.extend(...)`` in a channel-free
-loop) multiply the per-iteration delta by the loop bound.  Everything
-else degrades to ``?`` — soundly imprecise, never wrong.
+protocol): ``Send(value, w)`` costs ``w``, its second argument, and
+``Recv(n)`` costs ``n`` and binds one packed int of wire data (so a
+width read from it, like an in-band length header, is ``?``);
+single-assignment local dataflow; list-literal/``list()``/comprehension
+lengths, so a codec-built payload sent as ``Send(bits_to_int(p),
+len(p))`` costs the length of ``p``; ``range(e)`` has length ``e``; one
+level of ``self._helper()`` return-value resolution; ``int_to_bits(v,
+w)`` has length ``w``; ``random_prime_with_bits(_, b)`` yields a value
+whose ``.bit_length()`` is exactly ``b`` (primes are drawn with their
+top bit set); and accumulator loops (``payload.extend(...)`` in a
+channel-free loop) multiply the per-iteration delta by the loop bound.
+Everything else degrades to ``?`` — soundly imprecise, never wrong.
 
 On top of the per-agent skeletons, :func:`normalize`/:func:`dualize`/
 :func:`compare_dual` implement the session-duality check (SES rules) and
@@ -648,23 +652,22 @@ class _ProgramExtractor:
         if effect in _DRAIN_NAMES:
             obs.counter("lint.flow.drain_ops").inc()
             return []
-        if effect in _SEND_NAMES:
-            payload = self.eval(call.args[0]) if call.args else ("list", {}, "")
-            poly = payload[1] if payload[0] == "list" else _unknown_poly()
-            width = _width_of(poly, _merge_taint("input", _val_taint(payload))
-                              if not _poly_resolved(poly) else _val_taint(payload))
-            return [ChanOp("send", width, node.lineno)]
-        nbits = self.eval(call.args[0]) if call.args else ("int", {}, "")
+        # Send(value, width) carries its width second; Recv(n) first.
+        kind, default_taint, arg = (
+            ("send", "input", 1) if effect in _SEND_NAMES else ("recv", "wire", 0)
+        )
+        nbits = self.eval(call.args[arg]) if len(call.args) > arg else ("int", {}, "")
         poly = nbits[1] if nbits[0] == "int" else _unknown_poly()
-        width = _width_of(poly, _merge_taint("wire", _val_taint(nbits))
+        width = _width_of(poly, _merge_taint(default_taint, _val_taint(nbits))
                           if not _poly_resolved(poly) else _val_taint(nbits))
-        if target is not None:
-            self._bind_recv_target(target, poly)
-        return [ChanOp("recv", width, node.lineno)]
+        if kind == "recv" and target is not None:
+            self._bind_recv_target(target)
+        return [ChanOp(kind, width, node.lineno)]
 
-    def _bind_recv_target(self, target: ast.expr, poly: dict) -> None:
+    def _bind_recv_target(self, target: ast.expr) -> None:
+        """A received payload is one packed int whose value is wire data."""
         if isinstance(target, ast.Name):
-            self.env[target.id] = ("list", poly, "wire")
+            self.env[target.id] = ("int", _unknown_poly(), "wire")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 if isinstance(elt, ast.Name):

@@ -57,7 +57,7 @@ repro.costs.plan.PROTOCOL_PLANS; an undeclared protocol is priced as
 free, which breaks admission control and the cost gates.  Derive the
 entry from the skeleton the linter prints and add it to the table.""",
     "class NewProtocol(TwoPartyProtocol):\n    def agent0(self, x):\n"
-    "        yield Send(list(x))  # no PROTOCOL_PLANS entry",
+    "        yield Send(bits_to_int(x), len(x))  # no PROTOCOL_PLANS entry",
     'PROTOCOL_PLANS = {..., "NewProtocol": ({"sender": 0, "width": "n", '
     '"repeat": "1"},)}',
 )

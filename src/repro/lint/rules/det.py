@@ -77,8 +77,8 @@ DET204 = register_code(
 such an order reaches Send()/encode_*/derive_seed it becomes invisible
 nondeterminism on the wire — transcripts differ while every local answer
 looks right.  Iterate sorted(...) so the order is canonical.""",
-    "for p in positions_set:\n    yield Send([view[p]])",
-    "for p in sorted(positions_set):\n    yield Send([view[p]])",
+    "for p in positions_set:\n    yield Send(view[p], 1)",
+    "for p in sorted(positions_set):\n    yield Send(view[p], 1)",
 )
 
 _CLOCK_ATTRS = {

@@ -37,7 +37,7 @@ such a protocol is vacuous — the analogue of breaking the party/phase
 separation the lower-bound proofs assume.  Keep each program a function
 of its own view (plus received bits and public coins).""",
     "def agent0(self, input0, input1):\n    if input1[0]:  # peeks across the partition\n        ...",
-    "def agent0(self, input0):\n    bit = (yield Recv(1))[0]  # pay for it on the channel",
+    "def agent0(self, input0):\n    bit = yield Recv(1)  # pay for it on the channel",
 )
 
 ISO302 = register_code(
@@ -48,7 +48,8 @@ an unmetered side channel: one party writes, the other reads, zero bits
 are counted.  Pass state through inputs or the channel; module constants
 must be immutable.""",
     "_SCRATCH = {}\ndef agent0(self, input0):\n    _SCRATCH['x'] = input0",
-    "def agent0(self, input0):\n    yield Send(encode_payload(input0))",
+    "def agent0(self, input0):\n    payload = encode_payload(input0)\n"
+    "    yield Send(bits_to_int(payload), len(payload))",
 )
 
 ISO303 = register_code(
@@ -57,8 +58,8 @@ ISO303 = register_code(
     """Bits that bypass the Send/Recv effect discipline bypass the
 transcript too, so the measured cost undercounts the real communication.
 Agents yield effects; only the scheduler touches the channel.""",
-    "def agent0(self, input0):\n    self.channel.send(0, [1, 0, 1])",
-    "def agent0(self, input0):\n    yield Send([1, 0, 1])",
+    "def agent0(self, input0):\n    self.channel.send(0, 0b101, 3)",
+    "def agent0(self, input0):\n    yield Send(0b101, 3)",
 )
 
 ISO304 = register_code(

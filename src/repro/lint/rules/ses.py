@@ -44,10 +44,10 @@ the other Recvs, in the same order.  A turn-order mismatch means both
 parties wait (deadlock) or both speak (collision); an unmatched channel
 operation means one side finishes while the other blocks forever.  This
 is detected statically, before any run.""",
-    "def agent0(...):\n    yield Send(x)\n    yield Send(y)\n"
-    "def agent1(...):\n    got = yield Recv(n)",
-    "def agent0(...):\n    yield Send(x + y)\n"
-    "def agent1(...):\n    got = yield Recv(len_x + len_y)",
+    "def agent0(...):\n    yield Send(x, 8)\n    yield Send(y, 8)\n"
+    "def agent1(...):\n    got = yield Recv(8)",
+    "def agent0(...):\n    yield Send(x | y << 8, 16)\n"
+    "def agent1(...):\n    got = yield Recv(16)",
 )
 
 SES502 = register_code(
@@ -58,7 +58,7 @@ parameters, they must be equal: a receiver asking for fewer bits than
 were sent leaves bits queued (and the next Recv reads garbage); asking
 for more deadlocks.  Width totals are compared per turn, so a receiver
 may split one message across several Recv calls.""",
-    "def agent0(...):\n    yield Send(int_to_bits(v, self.width))\n"
+    "def agent0(...):\n    yield Send(v, self.width)\n"
     "def agent1(...):\n    got = yield Recv(self.width + 1)",
     "def agent1(...):\n    got = yield Recv(self.width)",
 )

@@ -35,7 +35,6 @@ the ARQ/fault legs inherit every transport prediction for free.
 from __future__ import annotations
 
 from repro.comm.agents import Recv, Send
-from repro.comm.bits import bits_to_int, int_to_bits
 from repro.comm.nondeterministic import minimum_cover
 from repro.comm.one_way import one_way_cc
 from repro.comm.truth_matrix import TruthMatrix
@@ -77,16 +76,15 @@ class OneWayTableProtocol:
     def agent0(self, row_index: int):
         """Send the row-class index; receive the answer bit."""
         label = self._class_of_row[row_index]
-        yield Send(list(int_to_bits(label, self.width)))
-        (answer,) = yield Recv(1)
+        yield Send(label, self.width)
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, col_index: int):
         """Receive the class, evaluate f on its representative row, answer."""
-        received = yield Recv(self.width)
-        label = bits_to_int(received) if self.width else 0
+        label = yield Recv(self.width)
         answer = bool(self.tm.data[self._representative[label], col_index])
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     def shape(self) -> MessageShape:
@@ -131,19 +129,18 @@ class CertificateProtocol:
     def agent0(self, input0: tuple[int, int]):
         """Send the certificate, audit the row side after agent 1's bit."""
         row_index, certificate = input0
-        yield Send(list(int_to_bits(certificate, self.width)))
+        yield Send(certificate, self.width)
         row_ok = 1 if row_index in self.cover[certificate][0] else 0
-        (col_ok,) = yield Recv(1)
-        yield Send([row_ok])
+        col_ok = yield Recv(1)
+        yield Send(row_ok, 1)
         return bool(row_ok and col_ok)
 
     def agent1(self, col_index: int):
         """Audit the column side of the received certificate."""
-        received = yield Recv(self.width)
-        certificate = bits_to_int(received)
+        certificate = yield Recv(self.width)
         col_ok = 1 if col_index in self.cover[certificate][1] else 0
-        yield Send([col_ok])
-        (row_ok,) = yield Recv(1)
+        yield Send(col_ok, 1)
+        row_ok = yield Recv(1)
         return bool(row_ok and col_ok)
 
     def shape(self) -> MessageShape:

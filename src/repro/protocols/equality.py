@@ -18,7 +18,7 @@ the identity problem itself as a baseline:
 from __future__ import annotations
 
 from repro.comm.agents import AgentProgram, Recv, Send
-from repro.comm.bits import bits_to_int, int_to_bits
+from repro.comm.bits import bits_to_int
 from repro.comm.protocol import TwoPartyProtocol
 from repro.comm.randomized import RandomizedProtocol
 from repro.exact.modular import next_prime
@@ -38,16 +38,16 @@ class DeterministicEquality(TwoPartyProtocol):
     def agent0(self, x: tuple[int, ...]) -> AgentProgram:
         """Ship the whole string."""
         self._check(x)
-        yield Send(list(x))
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(x), len(x))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, y: tuple[int, ...]) -> AgentProgram:
         """Compare and reply one bit."""
         self._check(y)
         received = yield Recv(self.n_bits)
-        answer = tuple(received) == tuple(y)
-        yield Send([1 if answer else 0])
+        answer = received == bits_to_int(y)
+        yield Send(int(answer), 1)
         return answer
 
     def _check(self, s) -> None:
@@ -82,8 +82,8 @@ class RandomizedEquality(RandomizedProtocol):
             sum(a & b for a, b in zip(x, mask)) & 1
             for mask in self._subsets(coins)
         ]
-        yield Send(parities)
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(parities), len(parities))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, y, coins: ReproducibleRNG) -> AgentProgram:
@@ -91,8 +91,8 @@ class RandomizedEquality(RandomizedProtocol):
         masks = self._subsets(coins)
         received = yield Recv(self.rounds)
         mine = [sum(a & b for a, b in zip(y, mask)) & 1 for mask in masks]
-        answer = list(received) == mine
-        yield Send([1 if answer else 0])
+        answer = received == bits_to_int(mine)
+        yield Send(int(answer), 1)
         return answer
 
     def error_bound(self) -> float:
@@ -130,16 +130,16 @@ class RabinKarpEquality(RandomizedProtocol):
     def agent0(self, x, coins: ReproducibleRNG) -> AgentProgram:
         """Send the polynomial fingerprint at the public point."""
         r = self._point(coins)
-        yield Send(int_to_bits(self._evaluate(x, r), self.width))
-        (answer,) = yield Recv(1)
+        yield Send(self._evaluate(x, r), self.width)
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, y, coins: ReproducibleRNG) -> AgentProgram:
         """Compare fingerprints and reply one bit."""
         r = self._point(coins)
         received = yield Recv(self.width)
-        answer = bits_to_int(received) == self._evaluate(y, r)
-        yield Send([1 if answer else 0])
+        answer = received == self._evaluate(y, r)
+        yield Send(int(answer), 1)
         return answer
 
     def error_bound(self) -> float:

@@ -97,8 +97,8 @@ class FingerprintProtocol(RandomizedProtocol):
         for row in residues:
             for value in row:
                 payload.extend(int_to_bits(value, width))
-        yield Send(payload)
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, input1: dict[int, int], coins: ReproducibleRNG) -> AgentProgram:
@@ -108,17 +108,18 @@ class FingerprintProtocol(RandomizedProtocol):
         cells = self.codec.rows * self.codec.cols
         received = yield Recv(cells * width)
         mine = self._partial_residues(input1, p)
+        mask = (1 << width) - 1
         combined: list[list[int]] = []
         cursor = 0
         for i in range(self.codec.rows):
             row: list[int] = []
             for j in range(self.codec.cols):
-                other = bits_to_int(received[cursor : cursor + width])
+                other = received >> cursor & mask
                 cursor += width
                 row.append((other + mine[i][j]) % p)
             combined.append(row)
         answer = bool(self.decide_mod(combined, p))
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     # -- conveniences ------------------------------------------------------

@@ -20,7 +20,7 @@ Input convention (fixed partition): agent 0 holds ``(A, B)``, agent 1 holds
 from __future__ import annotations
 
 from repro.comm.agents import AgentProgram, Recv, Send
-from repro.comm.bits import bits_to_int, int_to_bits
+from repro.comm.bits import bits_to_int, int_to_bits, unpack_rows
 from repro.comm.protocol import TwoPartyProtocol
 from repro.comm.randomized import RandomizedProtocol
 from repro.exact.matrix import Matrix
@@ -44,32 +44,25 @@ class DeterministicMatMulVerify(TwoPartyProtocol):
                 bits.extend(int_to_bits(value, self.k))
         return bits
 
-    def _decode_matrix(self, bits) -> Matrix:
-        rows = []
-        cursor = 0
-        for _ in range(self.n):
-            row = []
-            for _ in range(self.n):
-                row.append(bits_to_int(bits[cursor : cursor + self.k]))
-                cursor += self.k
-            rows.append(row)
-        return Matrix(rows)
+    def _decode_matrix(self, packed: int) -> Matrix:
+        return Matrix(unpack_rows(packed, self.n, self.n, self.k))
 
     def agent0(self, input0: tuple[Matrix, Matrix]) -> AgentProgram:
         """Ship A and B entirely."""
         a, b = input0
-        yield Send(self._encode_matrix(a) + self._encode_matrix(b))
-        (answer,) = yield Recv(1)
+        payload = self._encode_matrix(a) + self._encode_matrix(b)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, c: Matrix) -> AgentProgram:
         """Multiply and compare against C."""
         cells = self.n * self.n * self.k
         received = yield Recv(2 * cells)
-        a = self._decode_matrix(received[:cells])
-        b = self._decode_matrix(received[cells:])
+        a = self._decode_matrix(received & ((1 << cells) - 1))
+        b = self._decode_matrix(received >> cells)
         answer = (a @ b) == c
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     def exact_cost_bits(self) -> int:
@@ -116,10 +109,8 @@ class FreivaldsVerify(RandomizedProtocol):
         verdict = 1
         for r in self._vectors(coins):
             received = yield Recv(self.n * self.width)
-            c_r = [
-                bits_to_int(received[i * self.width : (i + 1) * self.width])
-                for i in range(self.n)
-            ]
+            mask = (1 << self.width) - 1
+            c_r = [received >> i * self.width & mask for i in range(self.n)]
             br = [
                 sum(b_rows[i][j] * r[j] for j in range(self.n)) % self.p
                 for i in range(self.n)
@@ -130,7 +121,7 @@ class FreivaldsVerify(RandomizedProtocol):
             ]
             if abr != c_r:
                 verdict = 0
-        yield Send([verdict])
+        yield Send(verdict, 1)
         return bool(verdict)
 
     def agent1(self, c: Matrix, coins: ReproducibleRNG) -> AgentProgram:
@@ -144,8 +135,8 @@ class FreivaldsVerify(RandomizedProtocol):
             payload: list[int] = []
             for value in cr:
                 payload.extend(int_to_bits(value, self.width))
-            yield Send(payload)
-        (verdict,) = yield Recv(1)
+            yield Send(bits_to_int(payload), len(payload))
+        verdict = yield Recv(1)
         return bool(verdict)
 
     def cost_bits(self) -> int:

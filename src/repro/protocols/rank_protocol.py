@@ -17,6 +17,7 @@ whether the joint span is full.
 from __future__ import annotations
 
 from repro.comm.agents import AgentProgram, Recv, Send
+from repro.comm.bits import bits_to_int, int_to_bits
 from repro.comm.protocol import TwoPartyProtocol
 from repro.exact.matrix import Matrix
 from repro.exact.span import Subspace
@@ -36,19 +37,22 @@ class ColumnBasisProtocol(TwoPartyProtocol):
         """Ship a column-space basis of the local half."""
         basis = Subspace.column_space(half0).basis_matrix()
         if basis is None:  # zero column space: send an explicit empty marker
-            yield Send(encode_fraction_matrix(None, half0.num_rows))
+            payload = encode_fraction_matrix(None, half0.num_rows)
         else:
-            yield Send(encode_fraction_matrix(basis, half0.num_rows))
-        (answer,) = yield Recv(1)
+            payload = encode_fraction_matrix(basis, half0.num_rows)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, half1: Matrix) -> AgentProgram:
         """Join the received span with the local one; decide fullness."""
         ambient = half1.num_rows
         header = yield Recv(48)
-        basis_rows, body_bits = _decode_header(header)
+        body_bits = header >> 16
         body = yield Recv(body_bits)
-        basis = decode_fraction_matrix(list(header) + list(body), ambient)
+        basis = decode_fraction_matrix(
+            int_to_bits(header | body << 48, 48 + body_bits), ambient
+        )
         mine = Subspace.column_space(half1)
         theirs = (
             Subspace.zero(ambient)
@@ -56,7 +60,7 @@ class ColumnBasisProtocol(TwoPartyProtocol):
             else Subspace.span([list(basis.row(i)) for i in range(basis.num_rows)])
         )
         singular = not mine.sum(theirs).is_full()
-        yield Send([1 if singular else 0])
+        yield Send(int(singular), 1)
         return singular
 
     def run_on_matrix(self, m: Matrix):
@@ -72,11 +76,3 @@ class ColumnBasisProtocol(TwoPartyProtocol):
         """The protocol's answer on ``m``."""
         return bool(self.run_on_matrix(m).agreed_output())
 
-
-def _decode_header(header) -> tuple[int, int]:
-    """(row count, remaining body bit length) from the 48-bit wire header."""
-    from repro.comm.bits import bits_to_int
-
-    rows = bits_to_int(header[:16])
-    body_bits = bits_to_int(header[16:48])
-    return rows, body_bits

@@ -16,7 +16,7 @@ half of the columns of ``[A | b]``, agent 1 the right half including b):
 from __future__ import annotations
 
 from repro.comm.agents import AgentProgram, Recv, Send
-from repro.comm.bits import bits_to_int, int_to_bits
+from repro.comm.bits import bits_to_int, int_to_bits, unpack_rows
 from repro.comm.protocol import TwoPartyProtocol
 from repro.comm.randomized import RandomizedProtocol
 from repro.exact.matrix import Matrix
@@ -54,30 +54,22 @@ class TrivialSolvability(TwoPartyProtocol):
 
     def agent0(self, left: Matrix) -> AgentProgram:
         """Ship the local columns (k-bit entries)."""
-        payload: list[int] = []
+        payload: list[int] = list(int_to_bits(left.num_cols, 16))
         for row in left.to_int_rows():
             for value in row:
                 payload.extend(int_to_bits(value, self.k))
-        yield Send(list(int_to_bits(left.num_cols, 16)) + payload)
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, right: Matrix) -> AgentProgram:
         """Reassemble the system and decide solvability exactly."""
-        width_bits = yield Recv(16)
-        cols = bits_to_int(width_bits)
+        cols = yield Recv(16)
         body = yield Recv(self.n_rows * cols * self.k)
-        rows = []
-        cursor = 0
-        for _ in range(self.n_rows):
-            row = []
-            for _ in range(cols):
-                row.append(bits_to_int(body[cursor : cursor + self.k]))
-                cursor += self.k
-            rows.append(row)
+        rows = unpack_rows(body, self.n_rows, cols, self.k)
         a, b = join_system(Matrix(rows), right)
         answer = is_solvable(a, b)
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     def run_on_system(self, a: Matrix, b: Vector):
@@ -111,32 +103,24 @@ class FingerprintSolvability(RandomizedProtocol):
         for row in left.mod(p):
             for value in row:
                 payload.extend(int_to_bits(value, width))
-        yield Send(payload)
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, right: Matrix, coins: ReproducibleRNG) -> AgentProgram:
         """Compare rank([A|b]) and rank(A) over GF(p); reply one bit."""
         p = self._draw_prime(coins)
         width = p.bit_length()
-        header = yield Recv(16)
-        cols = bits_to_int(header)
+        cols = yield Recv(16)
         body = yield Recv(self.n_rows * cols * width)
-        rows = []
-        cursor = 0
-        for _ in range(self.n_rows):
-            row = []
-            for _ in range(cols):
-                row.append(bits_to_int(body[cursor : cursor + width]))
-                cursor += width
-            rows.append(row)
+        rows = unpack_rows(body, self.n_rows, cols, width)
         right_mod = right.mod(p)
         a_rows = [
             mine + theirs[:-1] for mine, theirs in zip(rows, right_mod)
         ]
         aug_rows = [mine + theirs for mine, theirs in zip(rows, right_mod)]
         answer = rank_mod(aug_rows, p) == rank_mod(a_rows, p)
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     def run_on_system(self, a: Matrix, b: Vector, seed: int):

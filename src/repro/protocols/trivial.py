@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.comm.agents import AgentProgram, Recv, Send
-from repro.comm.bits import MatrixBitCodec
+from repro.comm.bits import MatrixBitCodec, bits_to_int
 from repro.comm.partition import Partition
 from repro.comm.protocol import TwoPartyProtocol
 from repro.exact.matrix import Matrix
@@ -47,18 +47,18 @@ class TrivialProtocol(TwoPartyProtocol):
 
     def agent0(self, input0: dict[int, int]) -> AgentProgram:
         payload = [input0[p] for p in self._agent0_positions]
-        yield Send(payload)
-        (answer,) = yield Recv(1)
+        yield Send(bits_to_int(payload), len(payload))
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, input1: dict[int, int]) -> AgentProgram:
         received = yield Recv(len(self._agent0_positions))
         assembled = dict(input1)
-        for position, bit in zip(self._agent0_positions, received):
-            assembled[position] = bit
+        for i, position in enumerate(self._agent0_positions):
+            assembled[position] = received >> i & 1
         matrix = self.codec.decode_partial(assembled)
         answer = bool(self.predicate(matrix))
-        yield Send([1 if answer else 0])
+        yield Send(int(answer), 1)
         return answer
 
     # ------------------------------------------------------------------

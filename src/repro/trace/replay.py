@@ -25,6 +25,7 @@ bench suite) replay cleanly run by run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover — type-only; see the runtime import
 
 #: Span name marking one protocol execution.
 RUN_SPAN = "protocol.run"
+
+_BIT_STRING = re.compile("[01]*")
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,25 @@ def _replay_one(run_id, runner, wire_events, report) -> ReplayResult:
     problems: list[str] = []
     for ev in sorted(wire_events, key=lambda e: e.seq):
         payload = ev.fields.get("payload", "")
-        bits = tuple(int(ch) for ch in payload)
-        if len(bits) != ev.fields.get("bits", len(bits)):
+        agent = ev.fields.get("agent", 0)
+        # A trace file is outside input: a damaged event is a problem to
+        # report, never a crash.
+        if not isinstance(payload, str) or not _BIT_STRING.fullmatch(payload):
             problems.append(
-                f"wire.send seq={ev.seq}: payload length {len(bits)} "
+                f"wire.send seq={ev.seq}: payload {payload!r} is not a bit string"
+            )
+            continue
+        if agent not in (0, 1):
+            problems.append(f"wire.send seq={ev.seq}: sender {agent!r} is not 0 or 1")
+            continue
+        width = len(payload)
+        if width != ev.fields.get("bits", width):
+            problems.append(
+                f"wire.send seq={ev.seq}: payload length {width} "
                 f"!= recorded bit cost {ev.fields.get('bits')}"
             )
-        transcript.messages.append(Message(ev.fields.get("agent", 0), bits))
+        value = int(payload[::-1], 2) if payload else 0
+        transcript.append(Message(agent, value, width))
     if report is None:
         return ReplayResult(
             run_id, runner, transcript, {}, tuple(problems)

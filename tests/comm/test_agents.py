@@ -9,17 +9,18 @@ from repro.comm.agents import (
     Send,
     run_protocol,
 )
+from repro.comm.bits import bits_to_int
 
 
 def test_simple_exchange():
     def alice(x):
-        yield Send([x])
-        (reply,) = yield Recv(1)
+        yield Send(x, 1)
+        reply = yield Recv(1)
         return reply
 
     def bob(y):
-        (received,) = yield Recv(1)
-        yield Send([received ^ y])
+        received = yield Recv(1)
+        yield Send(received ^ y, 1)
         return received ^ y
 
     result = run_protocol(alice, bob, 1, 1)
@@ -30,7 +31,7 @@ def test_simple_exchange():
 
 def test_agreed_output():
     def alice(_):
-        yield Send([1])
+        yield Send(1, 1)
         return "answer"
 
     def bob(_):
@@ -42,7 +43,7 @@ def test_agreed_output():
 
 def test_disagreement_detected():
     def alice(_):
-        yield Send([1])
+        yield Send(1, 1)
         return "a"
 
     def bob(_):
@@ -58,17 +59,17 @@ def test_multi_round_ping_pong():
     def alice(_):
         total = 0
         for _ in range(5):
-            yield Send([1])
-            (bit,) = yield Recv(1)
+            yield Send(1, 1)
+            bit = yield Recv(1)
             total += bit
         return total
 
     def bob(_):
         total = 0
         for _ in range(5):
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             total += bit
-            yield Send([bit])
+            yield Send(bit, 1)
         return total
 
     result = run_protocol(alice, bob, None, None)
@@ -88,7 +89,7 @@ def test_deadlock_detection():
 
 def test_unread_bits_detected():
     def alice(_):
-        yield Send([1, 1, 1])
+        yield Send(0b111, 3)
         return 0
 
     def bob(_):
@@ -136,7 +137,7 @@ def test_public_randomness_passed_to_both():
 
 def test_bulk_message_split_receive():
     def alice(_):
-        yield Send([1, 0, 1, 0])
+        yield Send(bits_to_int([1, 0, 1, 0]), 4)
         return None
 
     def bob(_):
@@ -145,21 +146,21 @@ def test_bulk_message_split_receive():
         return (first, second)
 
     result = run_protocol(alice, bob, 0, 0)
-    assert result.outputs[1] == ((1, 0), (1, 0))
+    assert result.outputs[1] == (bits_to_int([1, 0]), bits_to_int([1, 0]))
 
 
 def test_interleaved_sends_before_recv():
     # Agent 0 sends twice before agent 1 reads once — queuing must hold.
     def alice(_):
-        yield Send([1])
-        yield Send([0])
-        (done,) = yield Recv(1)
+        yield Send(1, 1)
+        yield Send(0, 1)
+        done = yield Recv(1)
         return done
 
     def bob(_):
         bits = yield Recv(2)
-        yield Send([1])
+        yield Send(1, 1)
         return bits
 
     result = run_protocol(alice, bob, 0, 0)
-    assert result.outputs == (1, (1, 0))
+    assert result.outputs == (1, bits_to_int([1, 0]))

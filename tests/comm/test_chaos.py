@@ -64,7 +64,7 @@ class TestFaultModelFactory:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_known_kinds(self, kind):
         model = make_fault_model(kind, 0.1, seed=1)
-        assert model.apply(0, 0, (1,) * 8) is not None
+        assert model.apply(0, 0, 0xFF, 8) is not None
 
     def test_rate_zero_is_clean(self):
         assert isinstance(make_fault_model("flip", 0.0), NoFaults)

@@ -23,16 +23,16 @@ class NoisyEquality(RandomizedProtocol):
     def agent0(self, x, coins) -> AgentProgram:
         mask = self._mask(coins)
         parity = (x[0] & mask[0]) ^ (x[1] & mask[1])
-        yield Send([parity])
-        (answer,) = yield Recv(1)
+        yield Send(parity, 1)
+        answer = yield Recv(1)
         return bool(answer)
 
     def agent1(self, y, coins) -> AgentProgram:
         mask = self._mask(coins)
-        (received,) = yield Recv(1)
+        received = yield Recv(1)
         mine = (y[0] & mask[0]) ^ (y[1] & mask[1])
         answer = received == mine
-        yield Send([1 if answer else 0])
+        yield Send(1 if answer else 0, 1)
         return answer
 
 

@@ -15,21 +15,22 @@ from repro.comm.agents import (
     run_supervised,
     run_with_retries,
 )
+from repro.comm.bits import bits_to_int
 from repro.comm.channel import BitChannel, ChannelClosed, Transcript
 from repro.comm.faults import ChannelDropFaults, FaultyChannel
 
 
 def ping_pong0(_):
     """Send one bit, read one back."""
-    yield Send([1])
-    (bit,) = yield Recv(1)
+    yield Send(1, 1)
+    bit = yield Recv(1)
     return bit
 
 
 def ping_pong1(_):
     """Read one bit, echo it."""
-    (bit,) = yield Recv(1)
-    yield Send([bit])
+    bit = yield Recv(1)
+    yield Send(bit, 1)
     return bit
 
 
@@ -43,15 +44,15 @@ class TestEffects:
 
     def test_drain_returns_queued_bits(self):
         def agent0(_):
-            yield Send([1, 0, 1])
+            yield Send(bits_to_int([1, 0, 1]), 3)
             return "sent"
 
         def agent1(_):
             got = yield Drain()
-            return tuple(got)
+            return got
 
         result = run_protocol(agent0, agent1, None, None)
-        assert result.outputs == ("sent", (1, 0, 1))
+        assert result.outputs == ("sent", (bits_to_int([1, 0, 1]), 3))
 
     def test_recv_timeout_injects_none(self):
         def agent0(_):
@@ -100,12 +101,12 @@ class TestOutcomes:
     def test_step_budget(self):
         def chatty0(_):
             for _ in range(100):
-                yield Send([1])
+                yield Send(1, 1)
             return None
 
         def sink1(_):
             got = yield Recv(100)
-            return len(got)
+            return got
 
         report = run_supervised(chatty0, sink1, None, None, step_budget=10)
         assert report.outcome == "budget_exceeded"
@@ -113,12 +114,12 @@ class TestOutcomes:
 
     def test_bit_budget(self):
         def blaster0(_):
-            yield Send([1] * 50)
+            yield Send((1 << 50) - 1, 50)
             return None
 
         def sink1(_):
             got = yield Recv(50)
-            return len(got)
+            return got
 
         report = run_supervised(blaster0, sink1, None, None, bit_budget=10)
         assert report.outcome == "budget_exceeded"
@@ -132,11 +133,11 @@ class TestOutcomes:
 
     def test_unread_bits_reported_not_raised(self):
         def agent0(_):
-            yield Send([1, 1, 1])
+            yield Send(0b111, 3)
             return "done"
 
         def agent1(_):
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             return bit
 
         report = run_supervised(agent0, agent1, None, None)
@@ -152,12 +153,12 @@ class TestOutcomes:
             run_protocol(agent, agent, None, None)
 
         def blaster0(_):
-            yield Send([1] * 50)
+            yield Send((1 << 50) - 1, 50)
             return None
 
         def sink1(_):
             got = yield Recv(50)
-            return len(got)
+            return got
 
         with pytest.raises(BudgetExceeded):
             run_protocol(blaster0, sink1, None, None, bit_budget=10)
@@ -197,11 +198,11 @@ class TestRunWithRetries:
         def flaky0(_, coins):
             if coins.spawn("luck").random() < 0.7:
                 raise RuntimeError("flaked")
-            yield Send([1])
+            yield Send(1, 1)
             return 1
 
         def agent1(_, coins):
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             return bit
 
         # seed 4: the first four attempts' coins flake, the fifth succeeds
@@ -215,7 +216,7 @@ class TestRunWithRetries:
             yield  # pragma: no cover
 
         def agent1(_, coins):
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             return bit
 
         report = run_with_retries(hopeless0, agent1, None, None, attempts=4, seed=0)
@@ -225,11 +226,11 @@ class TestRunWithRetries:
     def test_accept_predicate_drives_retry(self):
         def agent0(_, coins):
             bit = 1 if coins.spawn("draw").random() < 0.5 else 0
-            yield Send([bit])
+            yield Send(bit, 1)
             return bit
 
         def agent1(_, coins):
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             return bit
 
         report = run_with_retries(
@@ -271,7 +272,7 @@ class TestRunWithRetries:
 
         def tattler0(_):
             ran.append(0)
-            yield Send([1])
+            yield Send(1, 1)
             return None
 
         for attempts in (0, -1):
@@ -348,13 +349,13 @@ class TestDeadlineEdges:
 class TestBudgetEdges:
     def test_bit_budget_exhausted_mid_message(self):
         def two_sends0(_):
-            yield Send([1, 1, 1])  # 3 bits: within budget
-            yield Send([1, 1, 1])  # crosses 5 mid-message at bit 2 of 3
+            yield Send(0b111, 3)  # 3 bits: within budget
+            yield Send(0b111, 3)  # crosses 5 mid-message at bit 2 of 3
             return None
 
         def sink1(_):
             got = yield Recv(6)
-            return len(got)
+            return got
 
         report = run_supervised(two_sends0, sink1, None, None, bit_budget=5)
         assert report.outcome == "budget_exceeded"
@@ -366,12 +367,12 @@ class TestBudgetEdges:
 
     def test_bit_budget_exactly_met_is_not_exceeded(self):
         def exact0(_):
-            yield Send([1] * 5)
+            yield Send((1 << 5) - 1, 5)
             return "sent"
 
         def sink1(_):
             got = yield Recv(5)
-            return len(got)
+            return got
 
         report = run_supervised(exact0, sink1, None, None, bit_budget=5)
         assert report.outcome == "ok"  # budget is a cap, not a strict bound
@@ -382,7 +383,7 @@ class TestChannelHardening:
     def test_bad_agent_ids_rejected(self):
         ch = BitChannel()
         with pytest.raises(ValueError, match="sender must be agent 0 or 1"):
-            ch.send(2, [1])
+            ch.send(2, 1, 1)
         with pytest.raises(ValueError, match="receiver must be agent 0 or 1"):
             ch.available(-1)
         with pytest.raises(ValueError, match="receiver must be agent 0 or 1"):
@@ -392,9 +393,9 @@ class TestChannelHardening:
 
     def test_drain_empties_queue(self):
         ch = BitChannel()
-        ch.send(0, [1, 0, 1])
-        assert ch.drain(1) == (1, 0, 1)
-        assert ch.drain(1) == ()
+        ch.send(0, bits_to_int([1, 0, 1]), 3)
+        assert ch.drain(1) == (bits_to_int([1, 0, 1]), 3)
+        assert ch.drain(1) == (0, 0)
         assert ch.drained()
 
     def test_closed_channel_refuses_drain(self):

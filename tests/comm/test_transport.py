@@ -1,8 +1,11 @@
 """Tests for the reliable (ARQ) transport layer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.comm.agents import Recv, Send, run_protocol, run_supervised
+from repro.comm.bits import bits_to_int, int_to_bits
 from repro.comm.channel import BitChannel, TransportFailure
 from repro.comm.faults import (
     BitFlipFaults,
@@ -15,6 +18,7 @@ from repro.comm.faults import (
 )
 from repro.comm.transport import (
     ArqConfig,
+    CRC_BITS,
     ArqEndpoint,
     TransportStats,
     crc16,
@@ -34,13 +38,11 @@ class CorruptNth(FaultModel):
         super().__init__(0)
         self.target_index = target_index
 
-    def apply(self, message_index, sender, bits):
+    def apply(self, message_index, sender, value, width):
         """Corrupt only the targeted message."""
-        if message_index != self.target_index or len(bits) < 18:
-            return Delivery(bits)
-        out = list(bits)
-        out[-17] ^= 1
-        return Delivery(tuple(out))
+        if message_index != self.target_index or width < 18:
+            return Delivery(value, width)
+        return Delivery(value ^ 1 << (width - 17), width)
 
 
 class TruncateNth(FaultModel):
@@ -50,25 +52,27 @@ class TruncateNth(FaultModel):
         super().__init__(0)
         self.target_index = target_index
 
-    def apply(self, message_index, sender, bits):
+    def apply(self, message_index, sender, value, width):
         """Truncate only the targeted message."""
-        if message_index != self.target_index or len(bits) <= 5:
-            return Delivery(bits)
-        return Delivery(bits[:5])
+        if message_index != self.target_index or width <= 5:
+            return Delivery(value, width)
+        return Delivery(value & 0b11111, 5)
 
 
 def echo_pair(payload):
     """Agent 0 sends ``payload``; agent 1 echoes it back; both return it."""
 
+    width = len(payload)
+
     def agent0(_):
-        yield Send(list(payload))
-        back = yield Recv(len(payload))
-        return tuple(back)
+        yield Send(bits_to_int(payload), width)
+        back = yield Recv(width)
+        return int_to_bits(back, width)
 
     def agent1(_):
-        got = yield Recv(len(payload))
-        yield Send(list(got))
-        return tuple(got)
+        got = yield Recv(width)
+        yield Send(got, width)
+        return int_to_bits(got, width)
 
     return agent0, agent1
 
@@ -83,18 +87,43 @@ def run_reliable(payload, channel, config=None):
     return report, e0.stats.merged(e1.stats)
 
 
+def bitwise_crc16(bits) -> int:
+    """Reference CRC-16-CCITT: init 0xFFFF, poly 0x1021, one wire bit at a
+    time into an MSB-first register."""
+    reg = 0xFFFF
+    for bit in bits:
+        msb = (reg >> 15) & 1
+        reg = (reg << 1) & 0xFFFF
+        if msb ^ bit:
+            reg ^= 0x1021
+    return reg
+
+
 class TestCrc16:
     def test_detects_every_single_bit_flip(self):
-        frame = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]
-        checksum = crc16(frame)
-        for i in range(len(frame)):
-            damaged = list(frame)
-            damaged[i] ^= 1
-            assert crc16(damaged) != checksum
+        frame = bits_to_int([1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
+        checksum = crc16(frame, 10)
+        for i in range(10):
+            damaged = frame ^ 1 << i
+            assert crc16(damaged, 10) != checksum
 
     def test_deterministic(self):
-        assert crc16([1, 0, 1]) == crc16([1, 0, 1])
-        assert len(crc16([])) == 16
+        assert crc16(0b101, 3) == crc16(0b101, 3)
+        assert CRC_BITS == 16
+        assert 0 <= crc16(0, 0) < 1 << CRC_BITS
+
+    @given(st.integers(0, 300).flatmap(
+        lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+    ))
+    def test_table_matches_the_bitwise_reference(self, payload):
+        value, width = payload
+        assert crc16(value, width) == bitwise_crc16(int_to_bits(value, width))
+
+    def test_standard_check_value(self):
+        # The 72 bits of b"123456789", MSB-first within each byte.
+        bits = [int(c) for byte in b"123456789" for c in f"{byte:08b}"]
+        assert crc16(bits_to_int(bits), len(bits)) == 0x29B1
+        assert bitwise_crc16(bits) == 0x29B1
 
 
 class TestArqConfig:
@@ -146,7 +175,7 @@ class TestCleanChannel:
 
     def test_empty_payload_still_framed(self):
         def agent0(_):
-            yield Send([])
+            yield Send(0, 0)
             return "done"
 
         def agent1(_):

@@ -6,16 +6,12 @@ protocols elsewhere in the tree stay out of plan accounting.
 """
 
 
-def Send(bits):
-    return bits
+def Send(value, width):
+    return value, width
 
 
 def Recv(nbits):
     return nbits
-
-
-def int_to_bits(value, width):
-    return [value] * width
 
 
 class AccountedProtocol:
@@ -25,12 +21,12 @@ class AccountedProtocol:
         self.n_bits = n_bits
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, self.n_bits))
-        (verdict,) = yield Recv(1)
+        yield Send(x, self.n_bits)
+        verdict = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class DriftedProtocol:
@@ -40,12 +36,12 @@ class DriftedProtocol:
         self.n_bits = n_bits
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, 2 * self.n_bits))
-        (verdict,) = yield Recv(1)
+        yield Send(x, 2 * self.n_bits)
+        verdict = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(2 * self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class UndeclaredProtocol:
@@ -55,12 +51,12 @@ class UndeclaredProtocol:
         self.n_bits = n_bits
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, self.n_bits))
-        (verdict,) = yield Recv(1)
+        yield Send(x, self.n_bits)
+        verdict = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class SilencedDrift:  # repro-lint: disable=COST601 -- seeded pragma case
@@ -70,9 +66,9 @@ class SilencedDrift:  # repro-lint: disable=COST601 -- seeded pragma case
         self.n_bits = n_bits
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, 2 * self.n_bits))
-        (verdict,) = yield Recv(1)
+        yield Send(x, 2 * self.n_bits)
+        verdict = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(2 * self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)

@@ -8,9 +8,9 @@ from random import shuffle
 import numpy as np
 
 
-def Send(bits):
+def Send(value, width):
     """Local stand-in so sink detection has something to find."""
-    return bits
+    return value, width
 
 
 def ambient_coin():
@@ -37,12 +37,12 @@ def stamped():
 def leaks_set_order(positions, view):
     out = []
     for p in set(positions):  # DET204: unordered order reaches Send
-        out.append(Send([view[p]]))
+        out.append(Send(view[p], 1))
     return out
 
 
 def leaks_values_view(table):
-    return [Send(v) for v in table.values()]  # DET204
+    return [Send(v, 1) for v in table.values()]  # DET204
 
 
 def harmless_set_iteration(positions):
@@ -52,5 +52,5 @@ def harmless_set_iteration(positions):
 def canonical_order(positions, view):
     out = []
     for p in sorted(positions):  # control: sorted() iteration in a sink fn
-        out.append(Send([view[p]]))
+        out.append(Send(view[p], 1))
     return out

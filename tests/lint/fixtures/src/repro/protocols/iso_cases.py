@@ -5,8 +5,8 @@ _SCRATCH = {}
 PROTOCOL_NAME = "fixture"  # control: immutable module global
 
 
-def Send(bits):
-    return bits
+def Send(value, width):
+    return value, width
 
 
 def BitChannel(capacity):
@@ -17,8 +17,8 @@ def BitChannel(capacity):
 class PeekingProtocol:
     def agent0(self, input0, input1):  # ISO301: takes the other view
         if input1[0]:  # ISO301: reads the other view
-            return Send([1])
-        return Send([input0[0]])
+            return Send(1, 1)
+        return Send(input0[0], 1)
 
     def agent1(self, view1):
         _SCRATCH["last"] = view1  # ISO302: mutable module global

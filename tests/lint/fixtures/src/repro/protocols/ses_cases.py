@@ -1,40 +1,36 @@
 """Deliberate SES duality violations — scanned by the lint tests, never run."""
 
 
-def Send(bits):
-    return bits
+def Send(value, width):
+    return value, width
 
 
 def Recv(nbits):
     return nbits
 
 
-def int_to_bits(value, width):
-    return [value] * width
-
-
 class MismatchedTurnOrder:
     """SES501: both parties speak first — a static deadlock."""
 
     def agent0(self, x):
-        yield Send([x])
-        (ack,) = yield Recv(1)
+        yield Send(x, 1)
+        ack = yield Recv(1)
 
     def agent1(self, y):
-        yield Send([y])  # wrong: should Recv agent0's bit first
-        (ack,) = yield Recv(1)
+        yield Send(y, 1)  # wrong: should Recv agent0's bit first
+        ack = yield Recv(1)
 
 
 class UnmatchedRecv:
     """SES501: agent1 expects a second message nobody sends."""
 
     def agent0(self, x):
-        yield Send([x])
+        yield Send(x, 1)
 
     def agent1(self, y):
-        (bit,) = yield Recv(1)
-        (extra,) = yield Recv(1)
-        yield Send([1])
+        bit = yield Recv(1)
+        extra = yield Recv(1)
+        yield Send(1, 1)
 
 
 class WidthMismatch:
@@ -44,12 +40,12 @@ class WidthMismatch:
         self.width = width
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, self.width))
-        (ack,) = yield Recv(1)
+        yield Send(x, self.width)
+        ack = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(self.width + 1)  # off by one
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class LoopBoundMismatch:
@@ -60,13 +56,13 @@ class LoopBoundMismatch:
 
     def agent0(self, x):
         for _ in range(self.rounds):
-            yield Send([x])
-        (ack,) = yield Recv(1)
+            yield Send(x, 1)
+        ack = yield Recv(1)
 
     def agent1(self, y):
         for _ in range(self.rounds + 1):
-            (bit,) = yield Recv(1)
-        yield Send([1])
+            bit = yield Recv(1)
+        yield Send(1, 1)
 
 
 class WellPaired:
@@ -76,12 +72,12 @@ class WellPaired:
         self.n_bits = n_bits
 
     def agent0(self, x):
-        yield Send(int_to_bits(x, self.n_bits))
-        (verdict,) = yield Recv(1)
+        yield Send(x, self.n_bits)
+        verdict = yield Recv(1)
 
     def agent1(self, y):
         payload = yield Recv(self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class DispatchedProtocol:
@@ -94,15 +90,15 @@ class DispatchedProtocol:
         return self._talk(x)
 
     def _talk(self, value):
-        yield Send(int_to_bits(value, self.n_bits))
-        (ack,) = yield Recv(1)
+        yield Send(value, self.n_bits)
+        ack = yield Recv(1)
 
     def agent1(self, y):
         return self._listen(y)
 
     def _listen(self, value):
         payload = yield Recv(self.n_bits)
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class StreamingRecv:
@@ -114,24 +110,24 @@ class StreamingRecv:
 
     def agent0(self, x):
         while x:
-            yield Send([x[0]])
+            yield Send(x[0], 1)
             x = x[1:]
-        (ack,) = yield Recv(1)
+        ack = yield Recv(1)
 
     def agent1(self, y):
         while y:
-            (bit,) = yield Recv(1)
+            bit = yield Recv(1)
             y = y - 1
-        yield Send([1])
+        yield Send(1, 1)
 
 
 class SilencedMismatch:  # repro-lint: disable=SES501 -- seeded pragma case
     """Pragma control: same defect as MismatchedTurnOrder, suppressed."""
 
     def agent0(self, x):
-        yield Send([x])
-        (ack,) = yield Recv(1)
+        yield Send(x, 1)
+        ack = yield Recv(1)
 
     def agent1(self, y):
-        yield Send([y])
-        (ack,) = yield Recv(1)
+        yield Send(y, 1)
+        ack = yield Recv(1)

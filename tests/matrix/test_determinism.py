@@ -7,6 +7,7 @@ committed ``docs/RESULTS.md`` is checked against a fresh sweep — the
 same gate CI's ``matrix-gate`` job applies via ``--check-render``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +37,31 @@ class TestWorkerIdentity:
         assert a != b
         # ...but both must pass the gate.
         assert a["ok"] and b["ok"]
+
+
+#: blake2b (digest_size 8) of the canonical full-sweep report per seed.
+#: These pin every cell of the full catalogue -- burst, duplicate and
+#: delay wire totals, fault counts and retries included -- so a runtime
+#: refactor that changes a single delivered bit changes a digest.
+FULL_SWEEP_DIGESTS = {
+    0: "dc558fc1fcda849b",
+    1: "f0a8740ed5c17ff1",
+    2: "c377e98bce05c9d6",
+    3: "908d64231fb4ef14",
+    4: "90dd56c1150ff5b9",
+}
+
+
+class TestFullSweepDigests:
+    @pytest.mark.parametrize("seed", sorted(FULL_SWEEP_DIGESTS))
+    def test_full_sweep_report_bytes_are_pinned(self, seed):
+        with cache.disabled():
+            cells = run_sweep(quick=False, seed=seed)
+        report = sweep_report(cells, quick=False, seed=seed)
+        assert len(report["cells"]) == 108
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
+        assert digest == FULL_SWEEP_DIGESTS[seed]
 
 
 class TestCacheIdentity:

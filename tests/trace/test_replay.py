@@ -128,6 +128,28 @@ class TestTamperDetection:
         assert not replay.verified
         assert any("payload length" in p for p in replay.problems)
 
+    @pytest.mark.parametrize("bad", ["2", "x"])
+    def test_non_bit_payload_is_a_problem_not_a_crash(self, bad):
+        events = self._traced_events()
+        for ev in events:
+            if ev.kind == "event" and ev.name == "wire.send":
+                payload = ev.fields["payload"]
+                ev.fields = {**ev.fields, "payload": payload[:-1] + bad}
+                break
+        replay = trace.replay_all(events)[0]
+        assert not replay.verified
+        assert any("is not a bit string" in p for p in replay.problems)
+
+    def test_bad_sender_is_a_problem_not_a_crash(self):
+        events = self._traced_events()
+        for ev in events:
+            if ev.kind == "event" and ev.name == "wire.send":
+                ev.fields = {**ev.fields, "agent": 2}
+                break
+        replay = trace.replay_all(events)[0]
+        assert not replay.verified
+        assert any("sender 2 is not 0 or 1" in p for p in replay.problems)
+
     def test_missing_report_is_unreported_not_verified(self):
         events = [
             ev

@@ -205,6 +205,20 @@ class TestCli:
         assert main(["trace", "replay", "--file", str(trace_file)]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_replay_of_a_corrupt_payload_exits_nonzero(self, tmp_path, capsys):
+        from repro.protocols.equality import DeterministicEquality
+
+        protocol = DeterministicEquality(4)
+        with trace.capture() as tracer:
+            run_protocol(protocol.agent0, protocol.agent1, (1, 0, 1, 1), (1, 0, 1, 1))
+        path = tracer.flush(tmp_path / "run.jsonl")
+        text = path.read_text()
+        assert text.count('"payload":"1011"') == 1
+        path.write_text(text.replace('"payload":"1011"', '"payload":"1021"'))
+        assert main(["trace", "replay", "--file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out and "is not a bit string" in out
+
     def test_no_trace_files_is_a_usage_error(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.delenv(trace.ENV_VAR, raising=False)
