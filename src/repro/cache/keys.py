@@ -1,8 +1,8 @@
 """Deterministic content-addressed cache keys.
 
 A key is a blake2b digest over a domain-separated byte string: the cache
-format prefix, the *engine version tag* (see
-``repro.comm.exhaustive.ENGINE_VERSIONS``) and the canonical bytes of the
+format prefix, the *engine version tag* (for exact-search records,
+``repro.comm.exhaustive.ENGINE_VERSION``) and the canonical bytes of the
 deduplicated truth matrix.  Two processes — or two machines — computing the
 same function with the same engine therefore address the same record, and
 bumping an engine's version tag orphans every record the old engine wrote

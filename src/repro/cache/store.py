@@ -87,6 +87,56 @@ def _valid_tree(serial) -> bool:
     return _valid_tree(left_subtree) and _valid_tree(right_subtree)
 
 
+def _walk_tree(
+    serial, rows: frozenset, cols: frozenset
+) -> tuple[int, int] | None:
+    """``(depth, leaves)`` of a shape-valid tree rooted at the ``rows`` x
+    ``cols`` rectangle, or None when some node's ``right`` set is not a
+    non-empty proper subset of the side it splits."""
+    if serial[0] == "L":
+        return 0, 1
+    _tag, axis, right, left_subtree, right_subtree = serial
+    side = cols if axis else rows
+    chosen = frozenset(right)
+    if not chosen or not chosen < side:
+        return None
+    if axis:
+        walks = (
+            _walk_tree(left_subtree, rows, side - chosen),
+            _walk_tree(right_subtree, rows, chosen),
+        )
+    else:
+        walks = (
+            _walk_tree(left_subtree, side - chosen, cols),
+            _walk_tree(right_subtree, chosen, cols),
+        )
+    if None in walks:
+        return None
+    (depth_a, leaves_a), (depth_b, leaves_b) = walks
+    return 1 + max(depth_a, depth_b), leaves_a + leaves_b
+
+
+def _tree_problems(record: dict, n_rows: int, n_cols: int) -> list[str]:
+    """What a shape-valid tree contradicts in its own record.
+
+    Checkable without the truth matrix: every split cuts the current
+    rectangle into two non-empty parts, the depth is the record's ``d``,
+    and no protocol has fewer leaves than the record's ``leaves``.
+    """
+    walked = _walk_tree(
+        record["tree"], frozenset(range(n_rows)), frozenset(range(n_cols))
+    )
+    if walked is None:
+        return ["tree splits a side into an empty or out-of-rectangle part"]
+    depth, leaves = walked
+    problems = []
+    if isinstance(record.get("d"), int) and depth != record["d"]:
+        problems.append(f"tree depth {depth} != d {record['d']}")
+    if isinstance(record.get("leaves"), int) and leaves < record["leaves"]:
+        problems.append(f"tree has {leaves} leaves < leaves {record['leaves']}")
+    return problems
+
+
 def record_problems(record: dict | None, text: str | None = None) -> list[str]:
     """Schema violations of one parsed record (empty list when clean)."""
     if record is None:
@@ -95,19 +145,23 @@ def record_problems(record: dict | None, text: str | None = None) -> list[str]:
     if not isinstance(record.get("engine"), str) or not record["engine"]:
         problems.append("missing or empty engine tag")
     shape = record.get("shape")
-    if (
-        not isinstance(shape, list)
-        or len(shape) != 2
-        or not all(isinstance(s, int) and s > 0 for s in shape)
-    ):
+    shape_ok = (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(isinstance(s, int) and s > 0 for s in shape)
+    )
+    if not shape_ok:
         problems.append("shape is not a pair of positive ints")
     for field in ("d", "leaves"):
         if field in record and not (
             isinstance(record[field], int) and record[field] >= 0
         ):
             problems.append(f"{field} is not a non-negative int")
-    if "tree" in record and not _valid_tree(record["tree"]):
-        problems.append("tree fails the serialized-protocol shape check")
+    if "tree" in record:
+        if not _valid_tree(record["tree"]):
+            problems.append("tree fails the serialized-protocol shape check")
+        elif shape_ok:
+            problems.extend(_tree_problems(record, *shape))
     unknown = [
         field
         for field in sorted(record)

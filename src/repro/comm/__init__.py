@@ -128,7 +128,6 @@ from repro.comm.measures import (
 from repro.comm.exhaustive import (
     clear_search_cache,
     communication_complexity,
-    configure_search_cache,
     dedupe,
     deterministic_cc_of_function,
     optimal_protocol_tree,
@@ -254,7 +253,6 @@ __all__ = [
     "truth_matrix_rank",
     "yao_bound",
     "clear_search_cache",
-    "configure_search_cache",
     "communication_complexity",
     "dedupe",
     "deterministic_cc_of_function",

@@ -14,22 +14,19 @@ columns.  Also computed: the exact *protocol partition number* ``d^P(f)``
 (leaves of a leaf-optimal protocol — the same recursion with ``+`` for
 ``max``) and an optimal :class:`~repro.comm.protocol.ProtocolTree`.
 
-Two engines implement the recursion:
+Subrectangles are ``(row_mask, col_mask)`` Python-int pairs over the
+deduplicated matrix; monochromaticity and duplicate-row/column collapse are
+O(n) mask operations against precomputed per-row/per-column one-masks.  The
+search is branch-and-bound: admissible lower bounds (GF(2) rank pair via
+:mod:`repro.exact.gf2`, greedy fooling sets via :mod:`repro.comm.rectangles`
+— see docs/performance.md for the admissibility proofs) prune whole
+subtrees, and a symmetry normal form (iterated row/column sort + transpose
+minimum) lets permutation-equivalent subrectangles share one memo entry.
+Size limit: :data:`DEFAULT_LIMIT` (18) rows/columns after deduplication.
+The unpruned tuple-of-indices DP the test suite checks this search
+against lives in ``tests/comm/exact_oracle.py``.
 
-* ``engine="bitset"`` (default) — subrectangles are ``(row_mask, col_mask)``
-  Python-int pairs over the deduplicated matrix; monochromaticity and
-  duplicate-row/column collapse are O(n) mask operations against precomputed
-  per-row/per-column one-masks.  The search is branch-and-bound: admissible
-  lower bounds (GF(2) rank pair via :mod:`repro.exact.gf2`, greedy fooling
-  sets via :mod:`repro.comm.rectangles` — see docs/performance.md for the
-  admissibility proofs) prune whole subtrees, and a symmetry normal form
-  (iterated row/column sort + transpose minimum) lets permutation-equivalent
-  subrectangles share one memo entry.  Default size limit: 16 rows/columns.
-* ``engine="legacy"`` — the original tuple-of-indices DP, kept as the
-  ground-truth oracle the cross-engine test suite compares against.
-  Default size limit: 12.
-
-The bitset engine also has a **parallel mode** (the raw-speed tier): pass
+The search also has a **parallel mode** (the raw-speed tier): pass
 ``workers > 1`` (or set ``REPRO_WORKERS``) to
 :func:`communication_complexity` / :func:`partition_number` and the
 *root-level* split enumeration fans out over
@@ -47,17 +44,17 @@ the tree it returns is pinned to the sequential traversal order.
 
 One memo serves every query: ``D(f)``, the protocol tree and ``d^P(f)`` all
 run over the shared per-matrix search object (LRU-cached in
-``_SEARCH_CACHE``, lock-guarded so :func:`repro.util.parallel.parmap`
-drivers can query it from threads).  The ``exhaustive.subproblems`` counter
-in :mod:`repro.obs` counts distinct subrectangles solved and is the test
-suite's proof of the sharing.
+``_SEARCH_CACHE``, at most 64 matrices, lock-guarded so
+:func:`repro.util.parallel.parmap` drivers can query it from threads).  The
+``exhaustive.subproblems`` counter in :mod:`repro.obs` counts distinct
+subrectangles solved and is the test suite's proof of the sharing.
 
 When a persistent cache is configured (see :mod:`repro.cache`;
 ``REPRO_CACHE_DIR``), results additionally survive across processes: the
-deduplicated matrix bytes plus the engine version tag form a
-content-addressed key, and ``communication_complexity`` /
-``optimal_protocol_tree`` / ``partition_number`` consult the on-disk record
-before searching.
+deduplicated matrix bytes plus :data:`ENGINE_VERSION` form a
+content-addressed key, and all three queries consult the on-disk record
+before searching.  They share one query path (:func:`_query`): dedupe,
+size guard, cache probe, search, cache merge.
 """
 
 from __future__ import annotations
@@ -75,32 +72,22 @@ from repro.comm.truth_matrix import TruthMatrix
 from repro.trace import core as trace
 from repro.util.parallel import SharedBound, parmap, resolve_workers
 
-#: Engine registry.  The version tags key the persistent cache: bump one
-#: whenever its engine could produce a different (even just differently
-#: serialized) result, and old records die with the tag.
-DEFAULT_ENGINE = "bitset"
-ENGINES = ("bitset", "legacy")
-ENGINE_VERSIONS = {"bitset": "bitset-1", "legacy": "tuple-1"}
+#: Version tag of the search: it keys the persistent cache (and serve's
+#: coalescing), so bump it whenever the search could produce a different
+#: (even just differently serialized) result, and old records die with it.
+ENGINE_VERSION = "bitset-1"
 
-#: Per-engine default size limits (post-dedupe rows/columns).  The pruned
-#: bitset engine affords 18 now that the root enumeration can fan out
-#: across workers; the legacy enumerator keeps its historical 12.
-DEFAULT_LIMITS = {"bitset": 18, "legacy": 12}
-
-
-def _resolve_engine(engine: str | None) -> str:
-    engine = DEFAULT_ENGINE if engine is None else engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    return engine
-
-
-def _resolve_limit(limit: int | None, engine: str) -> int:
-    return DEFAULT_LIMITS[engine] if limit is None else limit
+#: Size limit (post-dedupe rows/columns) unless a caller passes ``limit``.
+DEFAULT_LIMIT = 18
 
 
 def _check_size(tm: TruthMatrix, limit: int) -> None:
     n_rows, n_cols = tm.shape
+    if n_rows == 0 or n_cols == 0:
+        raise ValueError(
+            "exact search needs a non-empty truth matrix; the deduplicated "
+            f"one is {n_rows}x{n_cols}"
+        )
     if n_rows > limit or n_cols > limit:
         raise ValueError(
             f"exact search on a {n_rows}x{n_cols} matrix would enumerate "
@@ -173,148 +160,7 @@ def _extract(value: int, mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The legacy tuple engine — kept verbatim as the cross-engine oracle.
-# ---------------------------------------------------------------------------
-
-#: A solved subrectangle: (cost, split).  ``split`` is None for a
-#: monochromatic leaf, else ``(axis, left, right)`` — axis 0 splits rows,
-#: axis 1 splits columns, left/right are the index tuples of the children.
-_Solved = tuple[int, "tuple[int, tuple[int, ...], tuple[int, ...]] | None"]
-
-
-class _ExactSearch:
-    """The shared memoized DP over one deduplicated truth matrix.
-
-    Every solved subrectangle stores its cost **and** the bipartition that
-    achieves it, so any number of ``D(f)`` / protocol-tree / ``d^P(f)``
-    queries after the first traversal are pure memo walks.
-    """
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-        self.hits = 0  # _SEARCH_CACHE per-entry hit count
-        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], _Solved] = {}
-        self.leaves_memo: dict[
-            tuple[tuple[int, ...], tuple[int, ...]], _Solved
-        ] = {}
-
-    def solve(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> _Solved:
-        cached = self.memo.get((rows, cols))
-        if cached is not None:
-            return cached
-        obs.counter("exhaustive.subproblems").inc()
-        block = self.data[np.ix_(rows, cols)]
-        if (block == block[0, 0]).all():
-            result: _Solved = (0, None)
-            self.memo[(rows, cols)] = result
-            return result
-        best_cost: int | None = None
-        best_split = None
-        # Agent 0 speaks: split rows.
-        if len(rows) > 1:
-            for left, right in _bipartitions(rows):
-                cost = 1 + max(
-                    self.solve(left, cols)[0], self.solve(right, cols)[0]
-                )
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_split = (0, left, right)
-                    if best_cost == 1:
-                        break
-        # Agent 1 speaks: split columns.
-        if (best_cost is None or best_cost > 1) and len(cols) > 1:
-            for left, right in _bipartitions(cols):
-                cost = 1 + max(
-                    self.solve(rows, left)[0], self.solve(rows, right)[0]
-                )
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_split = (1, left, right)
-                    if best_cost == 1:
-                        break
-        assert best_cost is not None, "non-monochromatic 1x1 block is impossible"
-        result = (best_cost, best_split)
-        self.memo[(rows, cols)] = result
-        return result
-
-    def solve_root(self) -> _Solved:
-        n_rows, n_cols = self.data.shape
-        return self.solve(tuple(range(n_rows)), tuple(range(n_cols)))
-
-    def solve_leaves(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> int:
-        """Exact protocol partition number of the subrectangle (the D(f)
-        recursion with ``+`` in place of ``max``), on the same shared search
-        object — this is the memo unification the obs proof covers."""
-        cached = self.leaves_memo.get((rows, cols))
-        if cached is not None:
-            return cached[0]
-        obs.counter("exhaustive.subproblems").inc()
-        block = self.data[np.ix_(rows, cols)]
-        if (block == block[0, 0]).all():
-            self.leaves_memo[(rows, cols)] = (1, None)
-            return 1
-        best: int | None = None
-        best_split = None
-        if len(rows) > 1:
-            for left, right in _bipartitions(rows):
-                total = self.solve_leaves(left, cols) + self.solve_leaves(
-                    right, cols
-                )
-                if best is None or total < best:
-                    best = total
-                    best_split = (0, left, right)
-        if len(cols) > 1:
-            for left, right in _bipartitions(cols):
-                total = self.solve_leaves(rows, left) + self.solve_leaves(
-                    rows, right
-                )
-                if best is None or total < best:
-                    best = total
-                    best_split = (1, left, right)
-        assert best is not None
-        self.leaves_memo[(rows, cols)] = (best, best_split)
-        return best
-
-    def solve_leaves_root(self) -> int:
-        n_rows, n_cols = self.data.shape
-        return self.solve_leaves(
-            tuple(range(n_rows)), tuple(range(n_cols))
-        )
-
-    def serialized_tree(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> list:
-        """The optimal protocol tree in the engine-independent wire form
-        ``["L", value]`` / ``["N", axis, right_indices, left, right]``
-        (indices are deduped-matrix positions; see
-        :func:`_tree_from_serialized`)."""
-        _cost, split = self.solve(rows, cols)
-        if split is None:
-            return ["L", int(self.data[rows[0], cols[0]])]
-        axis, left, right = split
-        if axis == 0:
-            return [
-                "N", 0, sorted(right),
-                self.serialized_tree(left, cols),
-                self.serialized_tree(right, cols),
-            ]
-        return [
-            "N", 1, sorted(right),
-            self.serialized_tree(rows, left),
-            self.serialized_tree(rows, right),
-        ]
-
-    def serialized_root_tree(self) -> list:
-        n_rows, n_cols = self.data.shape
-        return self.serialized_tree(
-            tuple(range(n_rows)), tuple(range(n_cols))
-        )
-
-
-# ---------------------------------------------------------------------------
-# The bitset branch-and-bound engine.
+# The branch-and-bound search.
 # ---------------------------------------------------------------------------
 
 
@@ -726,68 +572,31 @@ class _BitsetSearch:
 # Shared in-process search cache (LRU, lock-guarded for parmap drivers).
 # ---------------------------------------------------------------------------
 
-#: LRU of shared searches keyed by (engine, deduplicated bytes, shape), so a
-#: D(f) query followed by a tree or d^P query (the E15 pattern) reuses one
-#: search object.  Guarded by ``_SEARCH_CACHE_LOCK``: :mod:`repro.util
-#: .parallel` pools fork *processes* (each worker gets its own cache), but
-#: driver-side threads may share this one — see docs/performance.md.
-_SEARCH_CACHE: OrderedDict[
-    tuple[str, bytes, tuple[int, int]], "_BitsetSearch | _ExactSearch"
-] = OrderedDict()
-_SEARCH_CACHE_DEFAULT_LIMIT = 64
-_SEARCH_CACHE_ENV = "REPRO_SEARCH_CACHE_LIMIT"
+#: LRU of shared searches keyed by (deduplicated bytes, shape), so a D(f)
+#: query followed by a tree or d^P query (the E15 pattern) reuses one search
+#: object.  Guarded by ``_SEARCH_CACHE_LOCK``: :mod:`repro.util.parallel`
+#: pools fork *processes* (each worker gets its own cache), but driver-side
+#: threads may share this one — see docs/performance.md.
+_SEARCH_CACHE: OrderedDict[tuple[bytes, tuple[int, int]], _BitsetSearch] = (
+    OrderedDict()
+)
+_SEARCH_CACHE_LIMIT = 64
 _SEARCH_CACHE_LOCK = Lock()
 
 
-def _default_search_cache_limit() -> int:
-    """64, unless ``REPRO_SEARCH_CACHE_LIMIT`` overrides (clamped to 1)."""
-    env = os.environ.get(_SEARCH_CACHE_ENV)
-    if env is None or not env.strip():
-        return _SEARCH_CACHE_DEFAULT_LIMIT
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"{_SEARCH_CACHE_ENV} must be an integer, got {env!r}"
-        ) from None
-
-
-_SEARCH_CACHE_LIMIT = _default_search_cache_limit()
-
-
-def configure_search_cache(limit: int | None = None) -> int:
-    """Set the in-process search LRU's entry limit; returns the new limit.
-
-    ``None`` re-resolves the default (``REPRO_SEARCH_CACHE_LIMIT`` env
-    var, else 64).  Shrinking evicts oldest entries immediately.  Pool
-    workers inherit the environment variable, so exporting it sizes every
-    worker's process-local cache too — ``configure_search_cache`` alone
-    only reaches the calling process.
-    """
-    global _SEARCH_CACHE_LIMIT
-    with _SEARCH_CACHE_LOCK:
-        if limit is None:
-            _SEARCH_CACHE_LIMIT = _default_search_cache_limit()
-        else:
-            _SEARCH_CACHE_LIMIT = max(1, int(limit))
-        while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-            _SEARCH_CACHE.popitem(last=False)
-        return _SEARCH_CACHE_LIMIT
-
-
-def _search_for(deduped: TruthMatrix, engine: str):
+def _search_for(deduped: TruthMatrix) -> _BitsetSearch:
     data = np.ascontiguousarray(deduped.data)
-    key = (engine, data.tobytes(), deduped.shape)
+    key = (data.tobytes(), deduped.shape)
     with _SEARCH_CACHE_LOCK:
         search = _SEARCH_CACHE.get(key)
         if search is not None:
             _SEARCH_CACHE.move_to_end(key)
             search.hits += 1
             obs.counter("exhaustive.search_cache.hits").inc()
-            trace.event("exhaustive.search_memo", hit=True, engine=engine)
+            trace.event("exhaustive.search_memo", hit=True)
             return search
     # Construct outside the lock; a racing duplicate is harmless (one wins).
-    search = _BitsetSearch(data) if engine == "bitset" else _ExactSearch(data)
+    search = _BitsetSearch(data)
     with _SEARCH_CACHE_LOCK:
         existing = _SEARCH_CACHE.get(key)
         if existing is not None:
@@ -796,7 +605,7 @@ def _search_for(deduped: TruthMatrix, engine: str):
             obs.counter("exhaustive.search_cache.hits").inc()
             return existing
         obs.counter("exhaustive.search_cache.misses").inc()
-        trace.event("exhaustive.search_memo", hit=False, engine=engine)
+        trace.event("exhaustive.search_memo", hit=False)
         _SEARCH_CACHE[key] = search
         while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
             _SEARCH_CACHE.popitem(last=False)
@@ -815,7 +624,7 @@ def search_cache_stats() -> dict:
     """Size/limit plus per-entry hit counts of the in-process LRU."""
     with _SEARCH_CACHE_LOCK:
         entries = [
-            {"engine": key[0], "shape": list(key[2]), "hits": search.hits}
+            {"shape": list(key[1]), "hits": search.hits}
             for key, search in _SEARCH_CACHE.items()
         ]
     return {
@@ -826,7 +635,7 @@ def search_cache_stats() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parallel root-split fan-out (bitset engine only).
+# Parallel root-split fan-out.
 #
 # D(f) and d^P(f) are minima over *root* splits: D = 1 + min over splits of
 # max(D(A), D(B)); d^P = min over splits of leaves(A) + leaves(B).  The
@@ -900,7 +709,7 @@ def _worker_search(data_bytes: bytes, shape: tuple[int, int]) -> "_BitsetSearch"
     tmx = TruthMatrix(
         data.copy(), tuple(range(shape[0])), tuple(range(shape[1]))
     )
-    return _search_for(tmx, "bitset")
+    return _search_for(tmx)
 
 
 def _split_children(search: "_BitsetSearch", split):
@@ -1071,37 +880,66 @@ def _parallel_root_min(deduped: TruthMatrix, kind: str, n_workers: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Persistent cache plumbing (opt-in; see repro.cache).
+# The one query path (the persistent cache is opt-in; see repro.cache).
 # ---------------------------------------------------------------------------
 
+#: How one sequential search answers each record field.
+_SOLVERS = {
+    "d": _BitsetSearch.solve_d_root,
+    "leaves": _BitsetSearch.solve_leaves_root,
+    "tree": _BitsetSearch.serialized_root_tree,
+}
 
-def _cache_record(deduped: TruthMatrix, engine: str):
-    """(store, key) when a persistent cache is active, else (None, None)."""
+
+def _query(name: str, fields: tuple[str, ...], tm, limit, workers) -> dict:
+    """The record ``fields`` of ``tm``'s deduplicated matrix.
+
+    Span ``exhaustive.<name>``, dedupe, size guard, persistent-cache
+    probe, search, cache merge.  A record answers only when it holds
+    every field; a fresh result is merged into it.  ``workers > 1``
+    fans a single ``d`` or ``leaves`` field out over the root splits.
+    """
     from repro import cache
 
-    store = cache.active_store()
-    if store is None:
-        return None, None
-    data = np.ascontiguousarray(deduped.data)
-    key = cache.matrix_key(
-        ENGINE_VERSIONS[engine], deduped.shape, data.tobytes()
-    )
-    return store, key
-
-
-def _cache_lookup(store, key: str, field: str):
-    if store is None:
-        return None
-    record = store.get(key)
-    if record is None:
-        return None
-    return record.get(field)
-
-
-def _cache_store(store, key: str, deduped: TruthMatrix, engine: str, fields):
-    if store is None:
-        return
-    store.merge(key, fields, ENGINE_VERSIONS[engine], deduped.shape)
+    n_workers = resolve_workers(workers)
+    # The span covers dedup + cache probing too, so traced wall time stays
+    # attributed even when the search itself is cheap.
+    with trace.span(
+        f"exhaustive.{name}",
+        workers=n_workers,
+        rows=int(tm.shape[0]),
+        cols=int(tm.shape[1]),
+    ) as sp:
+        deduped = dedupe(tm)
+        _check_size(deduped, DEFAULT_LIMIT if limit is None else limit)
+        if sp is not None:
+            sp.annotate(
+                deduped_rows=int(deduped.shape[0]),
+                deduped_cols=int(deduped.shape[1]),
+            )
+        store = cache.active_store()
+        if store is not None:
+            key = cache.matrix_key(
+                ENGINE_VERSION,
+                deduped.shape,
+                np.ascontiguousarray(deduped.data).tobytes(),
+            )
+            record = store.get(key) or {}
+            if all(
+                isinstance(record.get(field), list if field == "tree" else int)
+                for field in fields
+            ):
+                return {field: record[field] for field in fields}
+        if n_workers > 1 and len(fields) == 1 and deduped.data.size > 1:
+            result = {
+                fields[0]: _parallel_root_min(deduped, fields[0], n_workers)
+            }
+        else:
+            search = _search_for(deduped)
+            result = {field: _SOLVERS[field](search) for field in fields}
+        if store is not None:
+            store.merge(key, result, ENGINE_VERSION, deduped.shape)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -1110,125 +948,38 @@ def _cache_store(store, key: str, deduped: TruthMatrix, engine: str, fields):
 
 
 def communication_complexity(
-    tm: TruthMatrix,
-    limit: int | None = None,
-    engine: str | None = None,
-    workers: int | None = None,
+    tm: TruthMatrix, limit: int | None = None, workers: int | None = None
 ) -> int:
     """Exact D(f) of the (deduplicated) truth matrix.
 
     ``workers`` (explicit arg > ``REPRO_WORKERS`` env > 1) fans the root
-    splits of the bitset engine out across a process pool with a shared
-    pruning bound; the result is the same exact integer at any worker
-    count.  The legacy engine ignores it (oracle stays sequential).
+    splits out across a process pool with a shared pruning bound; the
+    result is the same exact integer at any worker count.
     """
-    engine = _resolve_engine(engine)
-    n_workers = resolve_workers(workers)
-    # The span covers dedup + cache probing too, so traced wall time stays
-    # attributed even when the search itself is cheap.
-    with trace.span(
-        "exhaustive.communication_complexity",
-        engine=engine,
-        workers=n_workers,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-        store, key = _cache_record(deduped, engine)
-        cached = _cache_lookup(store, key, "d")
-        if isinstance(cached, int):
-            return cached
-        if engine == "bitset" and n_workers > 1 and deduped.data.size > 1:
-            cost = _parallel_root_min(deduped, "d", n_workers)
-        else:
-            search = _search_for(deduped, engine)
-            if engine == "bitset":
-                cost = search.solve_d_root()
-            else:
-                cost = search.solve_root()[0]
-        _cache_store(store, key, deduped, engine, {"d": cost})
-        return cost
+    return _query("communication_complexity", ("d",), tm, limit, workers)["d"]
 
 
 def optimal_protocol_tree(
-    tm: TruthMatrix, limit: int | None = None, engine: str | None = None
+    tm: TruthMatrix, limit: int | None = None
 ) -> tuple[int, ProtocolTree]:
     """Exact D(f) together with a protocol tree achieving it.
 
     The tree's node predicates take a *label* (row label for agent 0 nodes,
     column label for agent 1 nodes) and return the announced bit.  Labels of
-    duplicate rows/columns are mapped onto their representative.
+    duplicate rows/columns are mapped onto their representative.  Always
+    sequential: the tree is pinned to the sequential traversal order.
     """
-    engine = _resolve_engine(engine)
-    with trace.span(
-        "exhaustive.optimal_protocol_tree",
-        engine=engine,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-
-        # Map original labels to deduped indices so returned predicates
-        # accept any label of the original matrix.  dedupe() keeps first
-        # occurrences in order, so position-among-distinct on the ORIGINAL
-        # matrix is the deduped index (comparing against deduped rows
-        # directly would fail: deduping rows changes the length of column
-        # tuples and vice versa).
-        row_index: dict = {}
-        distinct_rows: dict[tuple, int] = {}
-        for i, row in enumerate(map(tuple, tm.data.tolist())):
-            if row not in distinct_rows:
-                distinct_rows[row] = len(distinct_rows)
-            row_index[tm.row_labels[i]] = distinct_rows[row]
-        col_index: dict = {}
-        distinct_cols: dict[tuple, int] = {}
-        for i, col in enumerate(map(tuple, tm.data.T.tolist())):
-            if col not in distinct_cols:
-                distinct_cols[col] = len(distinct_cols)
-            col_index[tm.col_labels[i]] = distinct_cols[col]
-
-        store, key = _cache_record(deduped, engine)
-        cost = None
-        serial = None
-        if store is not None:
-            record = store.get(key) or {}
-            if isinstance(record.get("d"), int) and isinstance(
-                record.get("tree"), list
-            ):
-                cost = record["d"]
-                serial = record["tree"]
-        if serial is None:
-            search = _search_for(deduped, engine)
-            if engine == "bitset":
-                cost = search.solve_d_root()
-                serial = search.serialized_root_tree()
-            else:
-                cost = search.solve_root()[0]
-                serial = search.serialized_root_tree()
-            _cache_store(
-                store, key, deduped, engine, {"d": cost, "tree": serial}
-            )
-        root = _tree_from_serialized(serial, row_index, col_index)
-        return cost, ProtocolTree(root)
+    record = _query("optimal_protocol_tree", ("d", "tree"), tm, limit, 1)
+    root = _tree_from_serialized(
+        record["tree"],
+        _label_index(tm.data, tm.row_labels),
+        _label_index(tm.data.T, tm.col_labels),
+    )
+    return record["d"], ProtocolTree(root)
 
 
 def partition_number(
-    tm: TruthMatrix,
-    limit: int | None = None,
-    engine: str | None = None,
-    workers: int | None = None,
+    tm: TruthMatrix, limit: int | None = None, workers: int | None = None
 ) -> int:
     """The *protocol* partition number: minimum leaves over all protocols.
 
@@ -1237,36 +988,25 @@ def partition_number(
     factor-2/additive terms.  Same recursion as D(f) with ``+`` in place of
     ``max``, running on the same shared search memo as
     :func:`communication_complexity`.  ``workers`` parallelizes the root
-    splits exactly as in :func:`communication_complexity` (bitset only;
-    same value at any worker count).
+    splits exactly as in :func:`communication_complexity` (same value at
+    any worker count).
     """
-    engine = _resolve_engine(engine)
-    n_workers = resolve_workers(workers)
-    with trace.span(
-        "exhaustive.partition_number",
-        engine=engine,
-        workers=n_workers,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-        store, key = _cache_record(deduped, engine)
-        cached = _cache_lookup(store, key, "leaves")
-        if isinstance(cached, int):
-            return cached
-        if engine == "bitset" and n_workers > 1 and deduped.data.size > 1:
-            leaves = _parallel_root_min(deduped, "leaves", n_workers)
-        else:
-            search = _search_for(deduped, engine)
-            leaves = search.solve_leaves_root()
-        _cache_store(store, key, deduped, engine, {"leaves": leaves})
-        return leaves
+    return _query("partition_number", ("leaves",), tm, limit, workers)["leaves"]
+
+
+def _label_index(data: np.ndarray, labels) -> dict:
+    """Each row label of ``data`` mapped to its row's deduped index.
+
+    dedupe() keeps first occurrences in order, so position-among-distinct
+    on the ORIGINAL matrix is the deduped index (comparing against deduped
+    rows directly would fail: deduping rows changes the length of column
+    tuples and vice versa).
+    """
+    distinct: dict[tuple, int] = {}
+    return {
+        label: distinct.setdefault(row, len(distinct))
+        for label, row in zip(labels, map(tuple, data.tolist()))
+    }
 
 
 def _row_predicate(row_index: dict, right_set: frozenset):
@@ -1304,12 +1044,10 @@ def _tree_from_serialized(serial, row_index: dict, col_index: dict):
     )
 
 
-def deterministic_cc_of_function(
-    f, partition, limit: int | None = None, engine: str | None = None
-) -> int:
+def deterministic_cc_of_function(f, partition, limit: int | None = None) -> int:
     """Convenience: exact D(f) of a full-bit-string predicate under π."""
     from repro.comm.truth_matrix import truth_matrix_from_function
 
     return communication_complexity(
-        truth_matrix_from_function(f, partition), limit, engine
+        truth_matrix_from_function(f, partition), limit
     )

@@ -85,9 +85,9 @@ def _partition_cost_task(task) -> int:
     ``REPRO_CACHE_DIR`` through the environment, so a configured persistent
     cache (:mod:`repro.cache`) warms every worker, not just the driver.
     """
-    f, partition, dp_limit, engine = task
+    f, partition, dp_limit = task
     tm = truth_matrix_from_function(f, partition)
-    return communication_complexity(tm, limit=dp_limit, engine=engine)
+    return communication_complexity(tm, limit=dp_limit)
 
 
 def best_partition_cc(
@@ -95,18 +95,17 @@ def best_partition_cc(
     total_bits: int,
     max_partitions: int = 5000,
     dp_limit: int | None = None,
-    engine: str | None = None,
     workers: int | None = None,
     chunksize: int | None = 1,
 ) -> PartitionSearchResult:
     """Exact Comm(f) = min over even partitions of exact D(f, π).
 
-    Refuses absurd enumerations (``max_partitions``); ``dp_limit`` and
-    ``engine`` are forwarded to the D(f) engine (size guard applies
-    post-dedupe).  The sweep fans out over :func:`repro.util.parallel
-    .parmap` — results are bit-identical at every worker count, and cells
-    that repeat a deduplicated matrix reuse the shared search memo (plus
-    the persistent :mod:`repro.cache` store when one is configured).
+    Refuses absurd enumerations (``max_partitions``); ``dp_limit`` is
+    forwarded to the D(f) search (size guard applies post-dedupe).  The
+    sweep fans out over :func:`repro.util.parallel.parmap` — results are
+    bit-identical at every worker count, and cells that repeat a
+    deduplicated matrix reuse the shared search memo (plus the persistent
+    :mod:`repro.cache` store when one is configured).
 
     ``chunksize`` is forwarded to :func:`repro.util.parallel.parmap`;
     the default is 1 (not parmap's throughput heuristic) because a D(f)
@@ -122,7 +121,7 @@ def best_partition_cc(
     partitions = list(even_partitions(total_bits))
     costs = parmap(
         _partition_cost_task,
-        [(f, partition, dp_limit, engine) for partition in partitions],
+        [(f, partition, dp_limit) for partition in partitions],
         workers=workers,
         chunksize=chunksize,
     )
@@ -190,7 +189,6 @@ class _SingularityPredicate:
 
 def min_partition_singularity(
     k: int,
-    engine: str | None = None,
     workers: int | None = None,
     chunksize: int | None = 1,
 ) -> PartitionSearchResult:
@@ -206,7 +204,6 @@ def min_partition_singularity(
     return best_partition_cc(
         _SingularityPredicate(k),
         codec.total_bits,
-        engine=engine,
         workers=workers,
         chunksize=chunksize,
     )

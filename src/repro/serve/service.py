@@ -306,17 +306,15 @@ def exhaustive_key(matrix: list[list[int]]) -> str:
     """The coalescing key of an ``exhaustive.cc`` request.
 
     Exactly the persistent cache's content address
-    (:func:`repro.cache.keys.matrix_key` over the bitset engine tag), so
+    (:func:`repro.cache.keys.matrix_key` over the search's version tag), so
     identical matrices coalesce against the same identity the on-disk
     store uses.
     """
     from repro.cache.keys import canonical_matrix_bytes, matrix_key
-    from repro.comm.exhaustive import ENGINE_VERSIONS
+    from repro.comm.exhaustive import ENGINE_VERSION
 
     shape = (len(matrix), len(matrix[0]))
-    return matrix_key(
-        ENGINE_VERSIONS["bitset"], shape, canonical_matrix_bytes(matrix)
-    )
+    return matrix_key(ENGINE_VERSION, shape, canonical_matrix_bytes(matrix))
 
 
 def handle_exhaustive_cc(params: dict, config: ServiceConfig) -> dict:

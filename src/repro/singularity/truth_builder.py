@@ -69,9 +69,10 @@ ENGINES = ("modnp", "fraction")
 #: they must never depend on the worker count or the machine.
 DEFAULT_BLOCK_COLUMNS = 32
 
-#: Shard-format version tags, per engine (keyed like
-#: ``repro.comm.exhaustive.ENGINE_VERSIONS``): bump one whenever its engine
-#: could spill different bytes, and stale shards die with the tag.
+#: Shard-format version tags, per engine (the role
+#: ``repro.comm.exhaustive.ENGINE_VERSION`` plays for search records): bump
+#: one whenever its engine could spill different bytes, and stale shards die
+#: with the tag.
 SHARD_VERSIONS = {"modnp": "modnp-shard-1", "fraction": "fraction-shard-1"}
 
 

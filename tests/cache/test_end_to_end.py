@@ -11,7 +11,6 @@ import pytest
 
 from repro import cache, obs
 from repro.comm.exhaustive import (
-    ENGINES,
     clear_search_cache,
     communication_complexity,
     optimal_protocol_tree,
@@ -40,41 +39,40 @@ def hermetic(monkeypatch):
     clear_search_cache()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestRoundTrip:
-    def test_d_survives_the_process_boundary_simulation(self, tmp_path, engine):
+    def test_d_survives_the_process_boundary_simulation(self, tmp_path):
         tm = gt(6)
         with cache.directory(tmp_path):
-            cold = communication_complexity(tm, engine=engine)
+            cold = communication_complexity(tm)
             clear_search_cache()  # simulate a fresh process
             with obs.scoped():
-                warm = communication_complexity(tm, engine=engine)
+                warm = communication_complexity(tm)
                 counters = obs.snapshot()["counters"]
         assert warm == cold
         assert counters["cache.hits"] == 1
         # A disk hit answers without rebuilding the search at all.
         assert counters.get("exhaustive.subproblems", 0) == 0
 
-    def test_partition_number_survives(self, tmp_path, engine):
+    def test_partition_number_survives(self, tmp_path):
         tm = gt(5)
         with cache.directory(tmp_path):
-            cold = partition_number(tm, engine=engine)
+            cold = partition_number(tm)
             clear_search_cache()
             with obs.scoped():
-                warm = partition_number(tm, engine=engine)
+                warm = partition_number(tm)
                 counters = obs.snapshot()["counters"]
         assert warm == cold
         assert counters.get("exhaustive.subproblems", 0) == 0
 
     def test_tree_rebuilt_from_cached_serial_computes_the_function(
-        self, tmp_path, engine
+        self, tmp_path
     ):
         tm = tm_from([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
         with cache.directory(tmp_path):
-            cost_cold, _ = optimal_protocol_tree(tm, engine=engine)
+            cost_cold, _ = optimal_protocol_tree(tm)
             clear_search_cache()
             with obs.scoped():
-                cost_warm, tree = optimal_protocol_tree(tm, engine=engine)
+                cost_warm, tree = optimal_protocol_tree(tm)
                 counters = obs.snapshot()["counters"]
         assert cost_warm == cost_cold
         assert counters.get("exhaustive.subproblems", 0) == 0
@@ -83,23 +81,23 @@ class TestRoundTrip:
             for j, cl in enumerate(tm.col_labels):
                 assert tree.evaluate(rl, cl)[0] == tm.data[i, j]
 
-    def test_queries_accumulate_in_one_record(self, tmp_path, engine):
+    def test_queries_accumulate_in_one_record(self, tmp_path):
         tm = gt(4)
         with cache.directory(tmp_path) as store:
-            communication_complexity(tm, engine=engine)
-            optimal_protocol_tree(tm, engine=engine)
-            partition_number(tm, engine=engine)
+            communication_complexity(tm)
+            optimal_protocol_tree(tm)
+            partition_number(tm)
             stats = store.stats()
             assert store.verify() == []
         assert stats["entries"] == 1
         assert stats["fields"] == {"d": 1, "leaves": 1, "tree": 1}
 
-    def test_disabled_store_never_touches_disk(self, tmp_path, engine):
+    def test_disabled_store_never_touches_disk(self, tmp_path):
         tm = gt(4)
         cache.configure(tmp_path)
         try:
             with cache.disabled(), obs.scoped():
-                communication_complexity(tm, engine=engine)
+                communication_complexity(tm)
                 counters = obs.snapshot()["counters"]
             assert counters.get("cache.lookups", 0) == 0
             assert cache.active_store().stats()["entries"] == 0
@@ -109,13 +107,17 @@ class TestRoundTrip:
 
 class TestCrossEngineIsolation:
     def test_engines_write_distinct_records(self, tmp_path):
+        # A store may still hold a record of the same matrix under another
+        # engine tag (the retired tuple engine wrote "tuple-1"); the search
+        # never reads it and writes its own record beside it.
         tm = gt(4)
+        data = np.ascontiguousarray(tm.data).tobytes()
+        foreign = cache.matrix_key("tuple-1", tm.shape, data)
         with cache.directory(tmp_path) as store:
-            d_bitset = communication_complexity(tm, engine="bitset")
-            clear_search_cache()
-            d_legacy = communication_complexity(tm, engine="legacy")
+            store.merge(foreign, {"d": 99}, "tuple-1", tm.shape)
+            assert communication_complexity(tm) == 3
             stats = store.stats()
-        assert d_bitset == d_legacy
+            assert store.get(foreign)["d"] == 99
         assert stats["entries"] == 2
         assert stats["engines"] == {"bitset-1": 1, "tuple-1": 1}
 
@@ -183,3 +185,19 @@ def test_warm_cache_speedup_bar(tmp_path):
     assert speedup >= CACHE_SPEEDUP_BAR, (
         f"warm cache bar missed: {speedup:.1f}x < {CACHE_SPEEDUP_BAR:g}x"
     )
+
+
+class TestVerifyWalksTrees:
+    def test_verify_catches_a_d_that_contradicts_its_tree(self, tmp_path):
+        # Without the tree walk a warm query would serve the corrupted d.
+        tm = gt(5)
+        with cache.directory(tmp_path) as store:
+            cost, _tree = optimal_protocol_tree(tm)
+            partition_number(tm)
+            assert store.verify() == []
+            (path,) = store._record_paths()
+            record = cache.decode_record(path.read_text())
+            record["d"] = cost + 3
+            path.write_text(cache.encode_record(record))
+            problems = store.verify()
+        assert problems == [f"{path.name}: tree depth {cost} != d {cost + 3}"]

@@ -141,6 +141,32 @@ class TestVerifyStatsClear:
         store._path(KEY).write_text(text)
         assert any("tree" in p for p in store.verify())
 
+    @pytest.mark.parametrize("tree", [
+        ["N", 0, [], ["L", 0], ["L", 1]],  # splits off nothing
+        ["N", 0, [0, 1], ["L", 0], ["L", 1]],  # splits off the whole side
+        ["N", 0, [2], ["L", 0], ["L", 1]],  # row 2 of a 2x2
+        # Row 1 went right at the root, so the left child holds row 0 only.
+        ["N", 0, [1], ["N", 0, [1], ["L", 0], ["L", 1]], ["L", 1]],
+    ])
+    def test_verify_flags_a_split_outside_the_rectangle(self, store, tree):
+        text = cache.encode_record({
+            "v": 1, "engine": "bitset-1", "shape": [2, 2], "tree": tree,
+        })
+        store._path(KEY).write_text(text)
+        assert any("empty or out-of-rectangle" in p for p in store.verify())
+
+    def test_verify_flags_depth_and_leaf_contradictions(self, store):
+        tree = ["N", 1, [1], ["L", 0], ["L", 1]]
+        store.merge(KEY, {"d": 1, "leaves": 2, "tree": tree}, "bitset-1", (2, 2))
+        assert store.verify() == []
+        for field, value, phrase in (("d", 4, "depth 1 != d 4"),
+                                     ("leaves", 3, "2 leaves < leaves 3")):
+            record = {"v": 1, "engine": "bitset-1", "shape": [2, 2], "d": 1,
+                      "leaves": 2, "tree": tree}
+            record[field] = value
+            store._path(KEY).write_text(cache.encode_record(record))
+            assert any(phrase in p for p in store.verify()), field
+
     def test_clear(self, store):
         self._seed(store)
         assert store.clear() == 2

@@ -70,17 +70,22 @@ class TestCommunicationComplexity:
         ) == 2
 
     def test_size_guard(self):
-        # The pruned bitset engine affords 18 rows/columns by default...
+        # The pruned search affords 18 rows/columns by default...
         big = tm_from(np.eye(19, dtype=np.uint8))
         with pytest.raises(ValueError):
             communication_complexity(big)
-        # ...while the legacy enumerator keeps its historical limit of 12.
-        legacy_big = tm_from(np.eye(13, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            communication_complexity(legacy_big, engine="legacy")
-        # An explicit limit overrides either default.
+        # ...and an explicit limit overrides the default.
         with pytest.raises(ValueError):
             communication_complexity(tm_from(np.eye(5, dtype=np.uint8)), limit=4)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_is_rejected(self, shape):
+        # An empty matrix has no leaf to reach, so no search could end.
+        tm = tm_from(np.zeros(shape, dtype=np.uint8))
+        for query in (communication_complexity, optimal_protocol_tree,
+                      partition_number):
+            with pytest.raises(ValueError, match="non-empty"):
+                query(tm)
 
 
 class TestDedupe:
@@ -169,6 +174,7 @@ class TestSharedSearch:
             tm = tm_from([[1 if j == i % 3 else 0 for j in range(3)], [0, 1, 1]])
             communication_complexity(tm)
         assert len(exhaustive._SEARCH_CACHE) <= exhaustive._SEARCH_CACHE_LIMIT
+        assert exhaustive.search_cache_stats()["limit"] == 64
 
 
 class TestPartitionNumber:

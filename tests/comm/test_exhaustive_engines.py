@@ -1,13 +1,13 @@
-"""Cross-engine suite: the bitset engine must equal the legacy enumerator.
+"""Cross-engine suite: the library's search must equal the oracle.
 
-The pruned bitset engine (branch-and-bound, canonicalization, packed row
-masks) is three orders of magnitude faster than the legacy tuple engine —
-which makes agreement the whole ballgame.  Hypothesis drives random small
-matrices through both engines and demands identical D(f) and d^P(f); the
-canonical functions (EQ, GT, IP, DISJ, 2x2 singularity) pin the absolute
-values; protocol trees from both engines must be depth-optimal and compute
-the function everywhere.  One ``slow`` test holds the bitset engine to its
-speed bar over legacy on the E15 suite.
+The pruned bitset search (branch-and-bound, canonicalization, packed row
+masks) is three orders of magnitude faster than the unpruned tuple DP in
+``tests/comm/exact_oracle.py`` — which makes agreement the whole ballgame.
+Hypothesis drives random small matrices through both engines and demands
+identical D(f) and d^P(f); the canonical functions (EQ, GT, IP, DISJ, 2x2
+singularity) pin the absolute values; the library's protocol trees must be
+depth-optimal and compute the function everywhere.  One ``slow`` test
+holds the search to its speed bar over the oracle on the E15 suite.
 """
 
 import time
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro import cache, obs
 from repro.comm.exhaustive import (
-    ENGINES,
     clear_search_cache,
     communication_complexity,
     optimal_protocol_tree,
@@ -29,6 +28,7 @@ from repro.comm.exhaustive import (
 from repro.comm.partition import Partition
 from repro.comm.truth_matrix import TruthMatrix, truth_matrix_from_function
 from repro.util.rng import ReproducibleRNG
+from tests.comm.exact_oracle import oracle_cc, oracle_partition_number
 
 
 def tm_from(array) -> TruthMatrix:
@@ -52,31 +52,23 @@ class TestEnginesAgree:
     @settings(max_examples=60, deadline=None)
     def test_communication_complexity_identical(self, rows):
         tm = tm_from(rows)
-        assert communication_complexity(
-            tm, engine="bitset"
-        ) == communication_complexity(tm, engine="legacy")
+        assert communication_complexity(tm) == oracle_cc(tm)
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
     def test_partition_number_identical(self, rows):
         tm = tm_from(rows)
-        assert partition_number(tm, engine="bitset") == partition_number(
-            tm, engine="legacy"
-        )
+        assert partition_number(tm) == oracle_partition_number(tm)
 
     @given(matrices)
     @settings(max_examples=25, deadline=None)
     def test_trees_are_optimal_and_correct_on_both_engines(self, rows):
         tm = tm_from(rows)
-        costs = {}
-        for engine in ENGINES:
-            cost, tree = optimal_protocol_tree(tm, engine=engine)
-            costs[engine] = cost
-            assert tree.depth() == cost
-            for i, rl in enumerate(tm.row_labels):
-                for j, cl in enumerate(tm.col_labels):
-                    assert tree.evaluate(rl, cl)[0] == tm.data[i, j], engine
-        assert costs["bitset"] == costs["legacy"]
+        cost, tree = optimal_protocol_tree(tm)
+        assert cost == tree.depth() == oracle_cc(tm)
+        for i, rl in enumerate(tm.row_labels):
+            for j, cl in enumerate(tm.col_labels):
+                assert tree.evaluate(rl, cl)[0] == tm.data[i, j]
 
 
 # -- the canonical functions, 2 bits per side --------------------------------
@@ -117,15 +109,13 @@ class TestPinnedValues:
     def test_canonical_functions_on_both_engines(self, f, total_bits, d, dp):
         partition = Partition(total_bits, frozenset(range(total_bits // 2)))
         tm = truth_matrix_from_function(f, partition)
-        for engine in ENGINES:
-            assert communication_complexity(tm, engine=engine) == d, engine
-            assert partition_number(tm, engine=engine) == dp, engine
+        assert communication_complexity(tm) == oracle_cc(tm) == d
+        assert partition_number(tm) == oracle_partition_number(tm) == dp
 
     def test_eq8_matches_the_textbook_value(self):
         # EQ over 8 values: ceil(log2 8) + 1 = 4, on both engines.
         tm = tm_from(np.eye(8, dtype=np.uint8))
-        for engine in ENGINES:
-            assert communication_complexity(tm, engine=engine) == 4
+        assert communication_complexity(tm) == oracle_cc(tm) == 4
 
 
 class TestSharedMemo:
@@ -133,45 +123,29 @@ class TestSharedMemo:
 
     def test_partition_number_reuses_the_search_memo(self):
         tm = tm_from(np.eye(6, dtype=np.uint8))
-        for engine in ENGINES:
-            clear_search_cache()
-            with obs.scoped():
-                partition_number(tm, engine=engine)
-                first = obs.snapshot()["counters"]["exhaustive.subproblems"]
-                assert first > 0
-                partition_number(tm, engine=engine)
-                assert (
-                    obs.snapshot()["counters"]["exhaustive.subproblems"] == first
-                ), engine
+        clear_search_cache()
+        with obs.scoped():
+            partition_number(tm)
+            first = obs.snapshot()["counters"]["exhaustive.subproblems"]
+            assert first > 0
+            partition_number(tm)
+            assert obs.snapshot()["counters"]["exhaustive.subproblems"] == first
 
     def test_d_tree_and_partition_number_share_one_search(self):
         tm = tm_from([[1 if i > j else 0 for j in range(5)] for i in range(5)])
-        for engine in ENGINES:
-            clear_search_cache()
-            with obs.scoped():
-                communication_complexity(tm, engine=engine)
-                optimal_protocol_tree(tm, engine=engine)
-                partition_number(tm, engine=engine)
-                counters = obs.snapshot()["counters"]
-                # One miss (the first call), then pure hits.
-                assert counters["exhaustive.search_cache.misses"] == 1, engine
-                assert counters["exhaustive.search_cache.hits"] == 2, engine
-            stats = search_cache_stats()
-            assert stats["size"] == 1
-            assert stats["entries"][0]["engine"] == engine
-            assert stats["entries"][0]["hits"] == 2
-
-    def test_engines_do_not_share_cache_entries(self):
-        tm = tm_from(np.eye(4, dtype=np.uint8))
         clear_search_cache()
-        communication_complexity(tm, engine="bitset")
-        communication_complexity(tm, engine="legacy")
-        stats = search_cache_stats()
-        assert stats["size"] == 2
-        assert {e["engine"] for e in stats["entries"]} == set(ENGINES)
+        with obs.scoped():
+            communication_complexity(tm)
+            optimal_protocol_tree(tm)
+            partition_number(tm)
+            counters = obs.snapshot()["counters"]
+            # One miss (the first call), then pure hits.
+            assert counters["exhaustive.search_cache.misses"] == 1
+            assert counters["exhaustive.search_cache.hits"] == 2
+        assert search_cache_stats()["entries"] == [{"shape": [5, 5], "hits": 2}]
 
 
-#: The bar for the bitset engine over legacy on the E15 suite.
+#: The bar for the library's search over the oracle on the E15 suite.
 EXACT_SPEEDUP_BAR = 5.0
 
 
@@ -184,17 +158,18 @@ def test_bitset_speedup_bar():
         tm_from([[1 if i > j else 0 for j in range(8)] for i in range(8)]),
         tm_from([rng.bit_vector(8) for _ in range(8)]),
     ]
-    seconds = {engine: 0.0 for engine in ("legacy", "bitset")}
+    engines = {"oracle": oracle_cc, "bitset": communication_complexity}
+    seconds = {name: 0.0 for name in engines}
     with cache.disabled():
         for tm in suite:
             values = set()
-            for engine in seconds:
+            for name, engine in engines.items():
                 clear_search_cache()
                 t0 = time.perf_counter()
-                values.add(communication_complexity(tm, engine=engine))
-                seconds[engine] += time.perf_counter() - t0
+                values.add(engine(tm))
+                seconds[name] += time.perf_counter() - t0
             assert len(values) == 1
-    speedup = seconds["legacy"] / seconds["bitset"]
+    speedup = seconds["oracle"] / seconds["bitset"]
     assert speedup >= EXACT_SPEEDUP_BAR, (
-        f"bitset vs legacy bar missed: {speedup:.1f}x < {EXACT_SPEEDUP_BAR:g}x"
+        f"bitset vs oracle bar missed: {speedup:.1f}x < {EXACT_SPEEDUP_BAR:g}x"
     )

@@ -1,4 +1,4 @@
-"""Parallel shared-bound root fan-out == sequential bitset == legacy oracle.
+"""Parallel shared-bound root fan-out == sequential search == test oracle.
 
 The parallel mode prunes each root split against an incumbent folded from
 the worker's local best and a cross-process bound file; its soundness
@@ -21,12 +21,11 @@ from repro import cache
 from repro.comm.exhaustive import (
     clear_search_cache,
     communication_complexity,
-    configure_search_cache,
     partition_number,
-    search_cache_stats,
 )
 from repro.comm.truth_matrix import TruthMatrix
 from repro.util.rng import ReproducibleRNG
+from tests.comm.exact_oracle import oracle_cc, oracle_partition_number
 
 WORKERS = (1, 2, 4)
 
@@ -53,7 +52,7 @@ class TestParallelEqualsSequential:
     def test_d_identical_at_every_worker_count(self, rows):
         tm = tm_from(rows)
         sequential = communication_complexity(tm, workers=1)
-        oracle = communication_complexity(tm, engine="legacy")
+        oracle = oracle_cc(tm)
         assert sequential == oracle
         for workers in WORKERS:
             assert communication_complexity(tm, workers=workers) == sequential
@@ -63,7 +62,7 @@ class TestParallelEqualsSequential:
     def test_leaves_identical_at_every_worker_count(self, rows):
         tm = tm_from(rows)
         sequential = partition_number(tm, workers=1)
-        oracle = partition_number(tm, engine="legacy")
+        oracle = oracle_partition_number(tm)
         assert sequential == oracle
         for workers in WORKERS:
             assert partition_number(tm, workers=workers) == sequential
@@ -88,54 +87,12 @@ class TestParallelEqualsSequential:
             assert communication_complexity(tm, workers=4) == d
             assert partition_number(tm, workers=4) == leaves
 
-    def test_legacy_engine_ignores_workers(self):
-        tm = tm_from([[0, 1], [1, 0]])
-        assert communication_complexity(tm, engine="legacy", workers=4) == 2
-
     def test_env_var_drives_parallel_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         tm = tm_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert communication_complexity(tm) == communication_complexity(
             tm, workers=1
         )
-
-
-class TestSearchCacheConfiguration:
-    def test_limit_round_trip(self):
-        try:
-            assert configure_search_cache(5) == 5
-            assert search_cache_stats()["limit"] == 5
-            assert len(search_cache_stats()["entries"]) <= 5
-        finally:
-            assert configure_search_cache() == 64
-
-    def test_shrink_evicts_immediately(self):
-        try:
-            configure_search_cache(64)
-            for value in range(8):
-                tm = tm_from([[value >> 2 & 1, value >> 1 & 1], [value & 1, 1]])
-                communication_complexity(tm)
-            configure_search_cache(2)
-            assert search_cache_stats()["size"] <= 2
-        finally:
-            configure_search_cache()
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_CACHE_LIMIT", "7")
-        try:
-            assert configure_search_cache() == 7
-        finally:
-            monkeypatch.delenv("REPRO_SEARCH_CACHE_LIMIT")
-            assert configure_search_cache() == 64
-
-    def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_CACHE_LIMIT", "lots")
-        import pytest
-
-        with pytest.raises(ValueError):
-            configure_search_cache()
-        monkeypatch.delenv("REPRO_SEARCH_CACHE_LIMIT")
-        configure_search_cache()
 
 
 #: The bar for d^P at 4 workers over the sequential bitset search.

@@ -50,10 +50,7 @@ def _traced_e15_search():
     suite = _quick_e15_suite()
     clear_search_cache()
     with trace.capture() as tracer:
-        values = {
-            name: communication_complexity(tm, engine="bitset")
-            for name, tm in suite
-        }
+        values = {name: communication_complexity(tm) for name, tm in suite}
     return tracer, values
 
 
