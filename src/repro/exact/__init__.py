@@ -9,15 +9,17 @@ The public surface:
 * :class:`Matrix`, :class:`Vector` — immutable exact containers.
 * Elimination engines — rational (:func:`row_echelon`, :func:`rref`) and
   fraction-free integer (:func:`bareiss_echelon`).
-* Determinants — :func:`determinant` plus Bareiss / cofactor / CRT engines.
+* Determinants — :func:`determinant` (Bareiss for integer matrices,
+  rational elimination otherwise) and the Hadamard bounds.
 * :func:`rank`, :func:`is_singular` — the paper's core predicate.
 * Decompositions — :func:`lup_decompose`, :func:`qr_decompose`,
   :func:`svd_structure` (Corollary 1.2 c–e).
 * :func:`solve`, :func:`is_solvable` — Corollary 1.3's decision.
 * :class:`Subspace` — spans, intersections, projections (Lemmas 3.2–3.7).
-* Modular arithmetic — GF(p) linear algebra, primes, CRT (the randomized
-  protocol's machinery), plus the NumPy-vectorized batch kernels of
-  :mod:`repro.exact.modnp` (``rank``/``det``/span membership over uint64).
+* Modular arithmetic — primes and the one scalar GF(p) engine
+  (:func:`rank_mod`, :func:`is_singular_mod`, any prime: the randomized
+  protocols' machinery), plus the truth builder's NumPy batch filter
+  :mod:`repro.exact.modnp` (echelon form and span membership over uint64).
 * Normal forms — Hermite and Smith over ℤ.
 """
 
@@ -27,18 +29,14 @@ from repro.exact.elimination import (
     BareissForm,
     EchelonForm,
     bareiss_echelon,
-    elimination_agreement,
     row_echelon,
     rref,
 )
 from repro.exact.determinant import (
     bareiss_determinant,
-    cofactor_determinant,
-    crt_determinant,
     determinant,
     hadamard_bound,
     hadamard_bound_kbit,
-    max_prime_divisors,
     rational_determinant,
 )
 from repro.exact.rank import (
@@ -47,8 +45,6 @@ from repro.exact.rank import (
     is_nonsingular,
     is_singular,
     rank,
-    rank_certified,
-    rank_lower_bound_mod,
     rank_profile,
     row_rank_profile,
 )
@@ -74,25 +70,18 @@ from repro.exact.solve import (
 from repro.exact.span import Subspace
 from repro.exact.modular import (
     count_primes_with_bits,
-    crt_combine,
-    det_mod,
-    det_mod_rows,
     is_prime,
     is_singular_mod,
     next_prime,
-    primes_for_crt_bound,
     primes_in_range,
     random_prime_with_bits,
     rank_mod,
-    solve_mod,
 )
 from repro.exact import modnp
 from repro.exact.gf2 import (
     gf2_rank,
     gf2_rank_of_matrix,
     gf2_rank_of_truth_matrix,
-    gf2_solve,
-    gf2_verify,
     pack_numpy,
     pack_rows,
 )
@@ -117,24 +106,18 @@ __all__ = [
     "BareissForm",
     "EchelonForm",
     "bareiss_echelon",
-    "elimination_agreement",
     "row_echelon",
     "rref",
     "bareiss_determinant",
-    "cofactor_determinant",
-    "crt_determinant",
     "determinant",
     "hadamard_bound",
     "hadamard_bound_kbit",
-    "max_prime_divisors",
     "rational_determinant",
     "column_space_contains",
     "has_rank",
     "is_nonsingular",
     "is_singular",
     "rank",
-    "rank_certified",
-    "rank_lower_bound_mod",
     "rank_profile",
     "row_rank_profile",
     "LUPDecomposition",
@@ -158,23 +141,16 @@ __all__ = [
     "verify_solution",
     "Subspace",
     "count_primes_with_bits",
-    "crt_combine",
-    "det_mod",
-    "det_mod_rows",
     "modnp",
     "is_prime",
     "is_singular_mod",
     "next_prime",
-    "primes_for_crt_bound",
     "primes_in_range",
     "random_prime_with_bits",
     "rank_mod",
-    "solve_mod",
     "gf2_rank",
     "gf2_rank_of_matrix",
     "gf2_rank_of_truth_matrix",
-    "gf2_solve",
-    "gf2_verify",
     "pack_numpy",
     "pack_rows",
     "cayley_hamilton_holds",

@@ -1,22 +1,22 @@
-"""Exact determinants: Bareiss, cofactor expansion, and modular/CRT.
+"""Exact determinants: Bareiss and rational elimination, plus Hadamard bounds.
 
-Three independent algorithms for the same quantity give the test suite a
-three-way oracle, and the modular engine is exactly the mathematics behind
-the randomized fingerprinting protocol (Leighton's O(n² max(log n, log k))
-upper bound contrasted in the paper's introduction): ``det(M) mod p`` for a
-random prime ``p`` is a cheap fingerprint of singularity because a nonzero
-determinant is divisible by few primes (Hadamard bound).
+:func:`determinant` routes integer matrices through fraction-free Bareiss
+and rational ones through rational elimination.  The Hadamard bound is the
+mathematics behind the randomized fingerprinting protocol (Leighton's
+O(n² max(log n, log k)) upper bound contrasted in the paper's introduction):
+``det(M) mod p`` for a random prime ``p`` is a cheap fingerprint of
+singularity because a nonzero determinant is divisible by few primes.
+The cofactor and CRT reference engines the tests check these against live
+in ``tests/exact/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 from repro.exact.elimination import bareiss_echelon, row_echelon
 from repro.exact.matrix import Matrix
-from repro.exact.modular import crt_combine, det_mod
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -62,47 +62,6 @@ def rational_determinant(m: Matrix) -> Fraction:
     return det
 
 
-#: Largest n the cofactor oracle accepts.  Laplace expansion is Θ(n·n!):
-#: 8! ≈ 40k leaf terms is instant, 11! ≈ 40M is not — the docstring, the
-#: guard, and the error message all enforce this one number.
-_COFACTOR_ORACLE_LIMIT = 8
-
-
-def cofactor_determinant(m: Matrix) -> Fraction:
-    """Determinant by Laplace expansion along the first row.
-
-    Exponential time — a reference oracle for matrices up to
-    ``_COFACTOR_ORACLE_LIMIT`` × ``_COFACTOR_ORACLE_LIMIT`` (8x8), used by
-    the test suite to validate the elimination engines.
-    """
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    n = m.num_rows
-    if n > _COFACTOR_ORACLE_LIMIT:
-        raise ValueError(
-            f"cofactor expansion is a small-matrix oracle: n <= "
-            f"{_COFACTOR_ORACLE_LIMIT} enforced, got n = {n}"
-        )
-    return _cofactor(m.rows())
-
-
-def _cofactor(rows: tuple) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    rest = rows[1:]
-    for j, entry in enumerate(rows[0]):
-        if entry == 0:
-            continue
-        minor = tuple(r[:j] + r[j + 1 :] for r in rest)
-        term = entry * _cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def hadamard_bound(m: Matrix) -> int:
     """An integer upper bound on ``|det(m)|`` (Hadamard's inequality).
 
@@ -141,47 +100,3 @@ def hadamard_bound_kbit(n: int, k: int) -> int:
 def _isqrt_ceil(x: int) -> int:
     r = math.isqrt(x)
     return r if r * r == x else r + 1
-
-
-def max_prime_divisors(m: Matrix, min_prime: int) -> int:
-    """How many primes ``>= min_prime`` can divide ``det(m)`` if it is nonzero.
-
-    ``|det| <= H`` implies at most ``floor(log_{min_prime}(H))`` such prime
-    factors (their product alone already reaches ``min_prime^count``).  This
-    is the quantity that makes the randomized protocol's error small, so it
-    is computed with exact integer arithmetic: at the ``q^{n}``-scale bounds
-    the family produces, ``math.log``'s 53-bit mantissa could round the
-    exponent across an integer boundary and understate the error.
-    """
-    bound = hadamard_bound(m)
-    if bound <= 1:
-        return 0
-    count = 0
-    power = min_prime
-    while power <= bound:
-        count += 1
-        power *= min_prime
-    return max(1, count)
-
-
-def crt_determinant(m: Matrix, primes: list[int]) -> int:
-    """Determinant via Chinese remaindering over the given primes.
-
-    The product of the primes must exceed ``2 * hadamard_bound(m)`` so the
-    symmetric residue pins down the true integer value; a :class:`ValueError`
-    flags an insufficient prime set rather than returning garbage.
-    """
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    bound = hadamard_bound(m)
-    modulus = reduce(lambda a, b: a * b, primes, 1)
-    if modulus <= 2 * bound:
-        raise ValueError(
-            f"prime product {modulus} does not exceed twice the Hadamard bound {bound}"
-        )
-    residues = [det_mod(m, p) for p in primes]
-    combined = crt_combine(residues, primes)
-    # Symmetric lift: the true determinant lies in [-bound, bound].
-    if combined > modulus // 2:
-        combined -= modulus
-    return combined

@@ -16,7 +16,6 @@ builds on these, so their agreement is itself a tested invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.exact.matrix import Matrix
 
@@ -167,42 +166,3 @@ def bareiss_echelon(m: Matrix) -> BareissForm:
         pivot_cols.append(col)
         pivot_row += 1
     return BareissForm(Matrix(rows), tuple(pivot_cols), swaps, prev_pivot)
-
-
-def elimination_agreement(m: Matrix) -> bool:
-    """Do the rational and fraction-free engines agree on rank and pivots?
-
-    Used by the property-test suite as a cheap cross-engine oracle.
-    """
-    if not m.is_integer():
-        raise ValueError("agreement check needs an integer matrix")
-    a = row_echelon(m)
-    b = bareiss_echelon(m)
-    return a.pivot_cols == b.pivot_cols
-
-
-def back_substitute(ech: EchelonForm, rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve ``R x = rhs`` where ``R`` is the echelon matrix of ``ech``.
-
-    ``rhs`` must already be permuted/eliminated consistently with ``R`` —
-    use :mod:`repro.exact.solve` for end-to-end solving.  Returns one
-    solution (free variables set to 0), or ``None`` if inconsistent.
-    """
-    matrix = ech.matrix
-    n_rows, n_cols = matrix.shape
-    if len(rhs) != n_rows:
-        raise ValueError("rhs length must equal the row count")
-    # Inconsistency: a zero row with nonzero rhs.
-    for i in range(ech.rank, n_rows):
-        if rhs[i] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for i in range(ech.rank - 1, -1, -1):
-        col = ech.pivot_cols[i]
-        acc = rhs[i]
-        row = matrix.row(i)
-        for c in range(col + 1, n_cols):
-            if row[c] != 0:
-                acc -= row[c] * x[c]
-        x[col] = acc / row[col]
-    return x

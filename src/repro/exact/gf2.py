@@ -92,51 +92,3 @@ def gf2_rank_pair(packed: Sequence[int], width: int) -> tuple[int, int]:
     """
     full = (1 << width) - 1
     return gf2_rank(packed), gf2_rank([row ^ full for row in packed])
-
-
-def gf2_solve(packed: Sequence[int], width: int, rhs: Sequence[int]) -> int | None:
-    """One solution x (as a bitset int over ``width`` variables) of the
-    system ``rows · x = rhs`` over GF(2), or None if inconsistent.
-
-    Augment each row with its rhs bit at position ``width`` and eliminate.
-    """
-    if len(rhs) != len(packed):
-        raise ValueError("rhs length mismatch")
-    augmented = [
-        row | ((b & 1) << width) for row, b in zip(packed, rhs)
-    ]
-    pivots: list[int] = []
-    for row in augmented:
-        current = row
-        for pivot in pivots:
-            low = pivot & -pivot
-            if current & low:
-                current ^= pivot
-        if current:
-            if current == (1 << width):
-                return None  # 0 = 1: inconsistent
-            # keep the rhs bit out of pivot choice: lowest set bit below width
-            pivots.append(current)
-    # Back-substitute: express the solution on the pivot variables.
-    x = 0
-    # Process pivots in order of decreasing lowest bit to resolve chains.
-    for pivot in sorted(pivots, key=lambda p: -( (p & -p).bit_length() )):
-        low = pivot & -pivot
-        if low.bit_length() - 1 >= width:
-            return None  # pivot on the rhs column: inconsistent
-        var = low.bit_length() - 1
-        # Value of this variable = rhs bit XOR other chosen variables' bits.
-        value = (pivot >> width) & 1
-        rest = pivot & ~low & ((1 << width) - 1)
-        value ^= bin(rest & x).count("1") & 1
-        if value:
-            x |= 1 << var
-    return x
-
-
-def gf2_verify(packed: Sequence[int], width: int, x: int, rhs: Sequence[int]) -> bool:
-    """Check rows · x == rhs over GF(2)."""
-    for row, b in zip(packed, rhs):
-        if (bin(row & x).count("1") & 1) != (b & 1):
-            return False
-    return True

@@ -1,13 +1,15 @@
-"""NumPy-vectorized linear algebra over GF(p) — the hot-path kernels.
+"""NumPy-vectorized linear algebra over GF(p) — the truth builder's batch filter.
 
 The exact engines in this package (:mod:`repro.exact.elimination`,
 :mod:`repro.exact.span`) compute over ℚ with :class:`fractions.Fraction`
 entries, which is the right substrate for *decisions* but far too slow for
-the (n, k) sweeps of E1/E6/E11.  Li–Sun–Wang–Woodruff-style communication
-arguments (and Leighton's fingerprint protocol, already in
-:mod:`repro.protocols.fingerprint`) work over finite fields, where the same
-linear algebra is a handful of ``uint64`` array operations.  This module is
-that layer: batched elimination kernels over GF(p) for primes ``p < 2³¹``.
+the truth-matrix builds of E1/E6.  Over a finite field the same span
+membership test is a handful of ``uint64`` array operations on a whole
+block of candidate vectors at once.  This module is that layer, and only
+that: :func:`echelon_mod` and :func:`span_membership_batch` for primes
+``p < 2³¹``.  Single-matrix decisions (rank, singularity) at any prime
+live in :mod:`repro.exact.modular`, which is faster at every size a
+protocol uses.
 
 Overflow-safety argument (the reason for the 2³¹ cap):
 
@@ -30,31 +32,24 @@ path in :mod:`repro.singularity.truth_builder`):
   :func:`span_membership_batch` as a filter and confirms the (rare)
   positives exactly.
 
-Everything here is oracle-tested against the pure-Python engines in
-:mod:`repro.exact.modular` and the rational engines
+Both kernels are oracle-tested against :func:`repro.exact.modular.rank_mod`
+and the exact :class:`~repro.exact.span.Subspace`
 (``tests/exact/test_modnp.py``, ``tests/exact/test_cross_engine_properties.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.exact.modular import is_prime
-from repro.exact import modular as _modular
 
 #: Kernels accept primes strictly below this (see the overflow argument above).
 MAX_MODULUS = 1 << 31
 
 
-def _validate_prime(p: int) -> None:
+def _check_kernel_modulus(p: int) -> None:
     if p < 2 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
-
-
-def _check_kernel_modulus(p: int) -> None:
-    _validate_prime(p)
     if p >= MAX_MODULUS:
         raise ValueError(
             f"vectorized kernels need p < 2^31 for uint64 overflow safety, "
@@ -85,27 +80,6 @@ def as_residues(rows, p: int) -> np.ndarray:
     return np.array(reduced, dtype=np.uint64)
 
 
-def _inv_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """Batched modular inverse by Fermat: ``values^(p-2) mod p``.
-
-    Binary exponentiation over the whole array — ~``2·log₂ p`` mulmods, each
-    a single vectorized ``uint64`` multiply (products ``< p² < 2⁶²``).
-    """
-    pp = np.uint64(p)
-    result = np.ones_like(values)
-    base = values % pp
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % pp
-        base = base * base % pp
-        e >>= 1
-    return result
-
-
-# ----------------------------------------------------------------------
-# Single-matrix kernels
-# ----------------------------------------------------------------------
 def echelon_mod(rows, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form over GF(p) with **unit pivots**.
 
@@ -144,116 +118,6 @@ def echelon_mod(rows, p: int) -> tuple[np.ndarray, list[int]]:
     return work, pivot_cols
 
 
-def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) — vectorized counterpart of
-    :func:`repro.exact.modular.rank_mod` (oracle-tested to agree)."""
-    _, pivot_cols = echelon_mod(rows, p)
-    return len(pivot_cols)
-
-
-def det_mod(rows, p: int) -> int:
-    """Determinant of one square matrix mod ``p`` (vectorized elimination).
-
-    Agrees entry-for-entry with :func:`repro.exact.modular.det_mod`; this is
-    just the batch kernel applied to a single matrix.
-    """
-    _check_kernel_modulus(p)
-    work = as_residues(rows, p)
-    n = work.shape[0]
-    if work.shape[1] != n:
-        raise ValueError("determinant needs a square matrix")
-    return int(det_mod_batch(work[None, :, :], p)[0])
-
-
-def is_singular_mod(rows, p: int) -> bool:
-    """Is the matrix singular over GF(p)?  (The fingerprint decision.)
-
-    Dispatches to the vectorized kernel for ``p < 2³¹`` and falls back to
-    the pure-Python engine above that, so protocol code can call it with any
-    prime the coin tosses produce.
-    """
-    _validate_prime(p)
-    if p >= MAX_MODULUS:
-        return _modular.is_singular_mod(rows, p)
-    work = as_residues(rows, p)
-    n = work.shape[0]
-    if work.shape[1] != n:
-        raise ValueError("singularity needs a square matrix")
-    return rank_mod(work, p) < n
-
-
-# ----------------------------------------------------------------------
-# Batched kernels
-# ----------------------------------------------------------------------
-def batch_as_residues(mats, p: int) -> np.ndarray:
-    """A fresh 3-D ``(batch, rows, cols)`` ``uint64`` residue array."""
-    if isinstance(mats, np.ndarray) and mats.dtype != object:
-        if mats.ndim != 3:
-            raise ValueError("batch input must be 3-D (batch, rows, cols)")
-        if not np.issubdtype(mats.dtype, np.integer):
-            raise TypeError("residue arrays need an integer dtype")
-        return (mats.astype(np.int64, copy=True) % p).astype(np.uint64)
-    reduced = [
-        [[int(x) % p for x in row] for row in mat] for mat in mats
-    ]
-    if not reduced:
-        raise ValueError("batch must be non-empty")
-    return np.array(reduced, dtype=np.uint64)
-
-
-def det_mod_batch(mats, p: int) -> np.ndarray:
-    """Determinants of a whole batch of square matrices mod ``p`` at once.
-
-    ``mats`` is ``(batch, n, n)`` (array or nested sequences).  One fused
-    elimination sweeps all batch members simultaneously: per column, each
-    member picks its own pivot (first nonzero below the diagonal), swaps,
-    normalizes, and eliminates — all as whole-batch array operations.
-    Members that run out of pivots are finished (det 0) and ride along
-    inertly (their elimination factors are zero by construction).
-
-    Returns a ``uint64`` array of length ``batch``.
-    """
-    _check_kernel_modulus(p)
-    work = batch_as_residues(mats, p)
-    batch, n, n2 = work.shape
-    if n != n2:
-        raise ValueError("determinant needs square matrices")
-    pp = np.uint64(p)
-    dets = np.ones(batch, dtype=np.uint64)
-    alive = np.ones(batch, dtype=bool)
-    negate = np.zeros(batch, dtype=bool)
-    bindex = np.arange(batch)
-    for c in range(n):
-        col = work[:, c:, c]  # (batch, n - c): pivot candidates
-        nzmask = col != 0
-        has_pivot = nzmask.any(axis=1)
-        dets[alive & ~has_pivot] = 0
-        alive &= has_pivot
-        if not alive.any():
-            break
-        # Swap each live member's first-nonzero row up to position c.
-        offsets = nzmask.argmax(axis=1)
-        need_swap = alive & (offsets > 0)
-        if need_swap.any():
-            rows_b = bindex[need_swap]
-            rows_src = c + offsets[need_swap]
-            tmp = work[rows_b, c].copy()
-            work[rows_b, c] = work[rows_b, rows_src]
-            work[rows_b, rows_src] = tmp
-            negate[rows_b] ^= True
-        pivots = work[:, c, c]
-        live = bindex[alive]
-        dets[live] = dets[live] * pivots[live] % pp
-        inv = _inv_mod(np.where(alive, pivots, np.uint64(1)), p)
-        work[:, c] = work[:, c] * inv[:, None] % pp
-        if c + 1 < n:
-            factors = work[:, c + 1 :, c]  # zero for dead members
-            prod = factors[:, :, None] * work[:, c, :][:, None, :] % pp
-            work[:, c + 1 :, :] = (work[:, c + 1 :, :] + (pp - prod)) % pp
-    dets[negate & (dets != 0)] = (pp - dets[negate & (dets != 0)]) % pp
-    return dets
-
-
 def span_membership_batch(basis_rows, vectors, p: int) -> np.ndarray:
     """Which of many ``vectors`` lie in the GF(p) row space of ``basis_rows``?
 
@@ -282,17 +146,6 @@ def span_membership_batch(basis_rows, vectors, p: int) -> np.ndarray:
             prod = coeffs[hot, None] * echelon[r][None, :] % pp
             residual[hot] = (residual[hot] + (pp - prod)) % pp
     return (residual == 0).all(axis=1)
-
-
-def column_span_membership_batch(matrix_cols, vectors, p: int) -> np.ndarray:
-    """Membership of ``vectors`` in the GF(p) *column* space of a matrix.
-
-    Convenience wrapper: transposes and delegates to
-    :func:`span_membership_batch` (the paper's ``Span(A)`` is a column
-    space).
-    """
-    a = as_residues(matrix_cols, p)
-    return span_membership_batch(a.T.copy(), vectors, p)
 
 
 #: A comfortable default kernel prime: the largest prime below 2³¹.

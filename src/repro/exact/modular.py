@@ -1,22 +1,20 @@
-"""Arithmetic mod p: elimination, determinants, ranks, primes, and CRT.
+"""Arithmetic mod p: primes, prime sampling, and the scalar GF(p) engine.
 
 This is the number-theoretic substrate of the *randomized* side of the paper:
 Leighton's O(n² max(log n, log k)) protocol reduces each agent's entries mod
 a public random prime of Θ(max(log n, log k)) bits and decides singularity of
-the reduced matrix.  Everything here works on plain ``list[list[int]]`` so
-the protocol agents can run it on wire-format data without constructing
-:class:`~repro.exact.matrix.Matrix` objects.
+the reduced matrix.  :func:`rank_mod` and :func:`is_singular_mod` are the
+only single-matrix GF(p) kernels in the package; they take any prime and
+work on plain ``list[list[int]]``, so the protocol agents run them on
+wire-format data without constructing :class:`~repro.exact.matrix.Matrix`
+objects.  (The NumPy kernels of :mod:`repro.exact.modnp` serve only the
+truth builder's batch filter.)
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover — import only for annotations
-    from repro.exact.matrix import Matrix
 
 
 # ----------------------------------------------------------------------
@@ -119,56 +117,8 @@ def mat_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return [[x % p for x in row] for row in rows]
 
 
-def _eliminate_mod(rows: list[list[int]], p: int) -> tuple[int, int, int]:
-    """In-place elimination mod prime ``p``.
-
-    Returns ``(rank, det_of_processed_square_part, sign_flips)`` where the
-    det value is the product of pivots mod p (0 if rank-deficient when
-    square).
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    det = 1
-    swaps = 0
-    for col in range(n_cols):
-        if rank >= n_rows:
-            break
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            swaps += 1
-        pivot = rows[rank][col] % p
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        for r in range(rank + 1, n_rows):
-            if rows[r][col] % p:
-                factor = rows[r][col] * inv % p
-                rows[r] = [
-                    (a - factor * b) % p for a, b in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-    return rank, det, swaps
-
-
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over the field GF(p) (``p`` prime)."""
-    _validate_modulus(p)
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be non-empty")
-    work = mat_mod(rows, p)
-    rank, _, _ = _eliminate_mod(work, p)
-    return rank
-
-
 def _validate_modulus(p: int) -> None:
-    """``p`` must be a prime ``>= 2`` — eliminations invert pivots by Fermat,
+    """``p`` must be a prime ``>= 2`` — elimination inverts pivots by Fermat,
     which silently returns garbage over a composite modulus."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
@@ -176,123 +126,48 @@ def _validate_modulus(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
-def det_mod(m: "Matrix | Sequence[Sequence[int]]", p: int) -> int:
-    """Determinant of a square integer :class:`Matrix` mod prime ``p``.
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix over the field GF(p) (``p`` prime).
 
-    Like every sibling determinant engine, takes a
-    :class:`~repro.exact.matrix.Matrix`.  The historical raw-rows form
-    (``list[list[int]]``) still works through a deprecation shim —
-    :func:`det_mod_rows` is the supported wire-format entry point for
-    protocol code holding decoded rows.
+    Any prime is accepted: entries are Python ints, so there is no
+    overflow cap.
     """
     _validate_modulus(p)
-    if hasattr(m, "to_int_rows"):
-        rows = m.to_int_rows()
-    else:
-        warnings.warn(
-            "det_mod(rows, p) with raw row sequences is deprecated; pass a "
-            "Matrix, or use det_mod_rows for wire-format data",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rows = m
-    return det_mod_rows(rows, p)
-
-
-def det_mod_rows(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant mod prime ``p`` on wire-format rows (``list[list[int]]``).
-
-    The raw-rows engine behind :func:`det_mod`, for protocol agents that
-    hold decoded rows and no :class:`Matrix`.
-    """
-    _validate_modulus(p)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be non-empty")
     work = mat_mod(rows, p)
-    rank, det, swaps = _eliminate_mod(work, p)
-    if rank < n:
-        return 0
-    return (p - det) % p if swaps % 2 else det
+    n_rows = len(work)
+    rank = 0
+    for col in range(len(work[0])):
+        if rank >= n_rows:
+            break
+        pivot_row = None
+        for r in range(rank, n_rows):
+            if work[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank]
+        inv = pow(pivot[col], p - 2, p)
+        for r in range(rank + 1, n_rows):
+            if work[r][col]:
+                factor = work[r][col] * inv % p
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], pivot)]
+        rank += 1
+    return rank
 
 
 def is_singular_mod(rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Is the matrix singular over GF(p)?  (The fingerprint decision.)
+    """Is the square matrix singular over GF(p)?  (The fingerprint decision.)
 
     Note the one-sided error direction: a matrix singular over ℚ is singular
     mod every ``p``, but a nonsingular matrix can *look* singular mod an
     unlucky prime dividing its determinant.
     """
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("singularity needs a square matrix")
     return rank_mod(rows, p) < n
-
-
-def solve_mod(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int
-) -> list[int] | None:
-    """One solution of ``A x = b`` over GF(p), or ``None`` if inconsistent."""
-    _validate_modulus(p)
-    n_rows = len(rows)
-    if len(rhs) != n_rows:
-        raise ValueError("rhs length mismatch")
-    augmented = [list(r) + [b] for r, b in zip(mat_mod(rows, p), [x % p for x in rhs])]
-    rank_aug, _, _ = _eliminate_mod(augmented, p)
-    n_cols = len(rows[0])
-    # Consistency: no pivot may land in the rhs column.
-    pivots: list[int] = []
-    for r in range(rank_aug):
-        for c, v in enumerate(augmented[r]):
-            if v % p:
-                pivots.append(c)
-                break
-    if pivots and pivots[-1] == n_cols:
-        return None
-    x = [0] * n_cols
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        acc = augmented[r][n_cols]
-        for c in range(col + 1, n_cols):
-            acc = (acc - augmented[r][c] * x[c]) % p
-        x[col] = acc * pow(augmented[r][col], p - 2, p) % p
-    return x
-
-
-# ----------------------------------------------------------------------
-# Chinese remaindering
-# ----------------------------------------------------------------------
-def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """The unique ``x mod prod(moduli)`` with ``x ≡ residues[i] (mod moduli[i])``.
-
-    Moduli must be pairwise coprime (primes distinct in our use).
-    """
-    if len(residues) != len(moduli):
-        raise ValueError("residues and moduli must align")
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    x, modulus = residues[0] % moduli[0], moduli[0]
-    for r, m in zip(residues[1:], moduli[1:]):
-        g = math.gcd(modulus, m)
-        if g != 1:
-            raise ValueError("moduli must be pairwise coprime")
-        inv = pow(modulus % m, m - 2, m) if is_prime(m) else pow(modulus, -1, m)
-        diff = (r - x) % m
-        x = x + modulus * (diff * inv % m)
-        modulus *= m
-    return x % modulus
-
-
-def primes_for_crt_bound(bound: int, start_bits: int = 31) -> list[int]:
-    """Enough distinct primes (each ~``start_bits`` bits) so their product
-    exceeds ``2*bound`` — the standard CRT determinant recipe."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    target = 2 * bound + 1
-    primes: list[int] = []
-    candidate = (1 << (start_bits - 1)) + 1
-    product = 1
-    while product < target:
-        candidate = next_prime(candidate)
-        primes.append(candidate)
-        product *= candidate
-        candidate += 2
-    return primes

@@ -3,14 +3,15 @@
 Rank is the quantity the whole paper orbits: singularity is ``rank < n``,
 Corollary 1.2(b) is about computing rank, and the ``[[I, B], [A, C]]``
 construction of the introduction turns matrix-product verification into a
-rank-n test.  Several engines are provided so tests can cross-validate.
+rank-n test.  Rank over ℚ runs on the fraction-free Bareiss engine for
+integer matrices and on rational elimination otherwise; GF(p) rank is
+:func:`repro.exact.modular.rank_mod`.
 """
 
 from __future__ import annotations
 
 from repro.exact.elimination import bareiss_echelon, row_echelon
 from repro.exact.matrix import Matrix
-from repro.exact.modular import next_prime, rank_mod
 
 
 def rank(m: Matrix) -> int:
@@ -49,33 +50,6 @@ def has_rank(m: Matrix, r: int) -> bool:
     if r < 0:
         raise ValueError("rank cannot be negative")
     return rank(m) == r
-
-
-def rank_certified(m: Matrix) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Rank together with witnessing row and column index sets.
-
-    Returns ``(r, rows, cols)`` such that the r×r submatrix on ``rows`` ×
-    ``cols`` is nonsingular — a certificate checkable by an independent
-    determinant computation.
-    """
-    cols = rank_profile(m)
-    restricted = m.submatrix(range(m.num_rows), cols) if cols else None
-    if restricted is None:
-        return 0, (), ()
-    rows = rank_profile(restricted.transpose())
-    return len(cols), rows, cols
-
-
-def rank_lower_bound_mod(m: Matrix, p: int | None = None) -> int:
-    """A fast certified *lower* bound: rank over GF(p) never exceeds rank over ℚ.
-
-    With a random large prime this equals the true rank with high
-    probability; it is the cheap first pass the randomized protocol relies
-    on.  Default prime: the first prime above 2^31.
-    """
-    if p is None:
-        p = next_prime(1 << 31)
-    return rank_mod(m.to_int_rows(), p)
 
 
 def column_space_contains(m: Matrix, vec) -> bool:

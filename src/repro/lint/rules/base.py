@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
@@ -162,13 +161,3 @@ def imported_module_aliases(tree: ast.Module, target: str) -> set[str]:
                 if alias.name == target:
                     aliases.add(alias.asname or alias.name.split(".")[0])
     return aliases
-
-
-def from_imported_names(tree: ast.Module, module: str) -> dict[str, str]:
-    """Local name -> original name for ``from module import ...``."""
-    out: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                out[alias.asname or alias.name] = alias.name
-    return out

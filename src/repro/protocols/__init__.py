@@ -40,7 +40,6 @@ from repro.protocols.solvability import (
     FingerprintSolvability,
     TrivialSolvability,
     join_system,
-    solvability_reference,
     split_system,
 )
 from repro.protocols.wire import (
@@ -70,7 +69,6 @@ __all__ = [
     "FingerprintSolvability",
     "TrivialSolvability",
     "join_system",
-    "solvability_reference",
     "split_system",
     "decode_fraction",
     "decode_fraction_matrix",

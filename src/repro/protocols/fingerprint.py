@@ -8,9 +8,9 @@ here:
    Θ(max(log n, log k)) bits;
 2. agent 0 reduces every entry it holds mod ``p`` and ships the residues —
    ``⌈log₂ p⌉`` bits each, so ≈ 2n²·log p total for an even split;
-3. agent 1 assembles the matrix over GF(p), decides singularity there (via
-   the vectorized kernel of :mod:`repro.exact.modnp` for kernel-sized
-   primes, the pure-Python engine above 2³¹), and replies with one bit.
+3. agent 1 assembles the matrix over GF(p), decides singularity there
+   (:func:`repro.exact.modular.is_singular_mod`, any prime), and replies
+   with one bit.
 
 Error analysis (one-sided):  a matrix singular over ℚ is singular mod every
 prime, so "singular" answers are always right.  A nonsingular matrix is
@@ -24,16 +24,15 @@ Both the cost and the error are *measured* by experiment E11, not assumed.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from repro.comm.agents import AgentProgram, Recv, Send
 from repro.comm.bits import MatrixBitCodec, bits_to_int, int_to_bits
 from repro.comm.partition import Partition
 from repro.comm.randomized import RandomizedProtocol
 from repro.exact.determinant import hadamard_bound_kbit
-from repro.exact.modnp import is_singular_mod
 from repro.exact.modular import (
     count_primes_with_bits,
+    is_singular_mod,
     random_prime_with_bits,
 )
 from repro.exact.matrix import Matrix
@@ -65,14 +64,12 @@ class FingerprintProtocol(RandomizedProtocol):
         codec: MatrixBitCodec,
         partition: Partition,
         prime_bits: int | None = None,
-        decide_mod: Callable = is_singular_mod,
     ):
         self.codec = codec
         self.partition = partition
         self.prime_bits = prime_bits or default_prime_bits(
             codec.rows // 2 if codec.rows % 2 == 0 else codec.rows, codec.k
         )
-        self.decide_mod = decide_mod
 
     # -- helpers ---------------------------------------------------------
     def _partial_residues(self, view: dict[int, int], p: int) -> list[list[int]]:
@@ -118,7 +115,7 @@ class FingerprintProtocol(RandomizedProtocol):
                 cursor += width
                 row.append((other + mine[i][j]) % p)
             combined.append(row)
-        answer = bool(self.decide_mod(combined, p))
+        answer = bool(is_singular_mod(combined, p))
         yield Send(int(answer), 1)
         return answer
 

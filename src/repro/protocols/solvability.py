@@ -131,9 +131,3 @@ class FingerprintSolvability(RandomizedProtocol):
     def decide(self, a: Matrix, b: Vector, seed: int) -> bool:
         """The protocol's (randomized) answer on (A, b)."""
         return bool(self.run_on_system(a, b, seed).agreed_output())
-
-
-def solvability_reference(left: Matrix, right: Matrix) -> bool:
-    """Ground truth on the split inputs, for the error estimators."""
-    a, b = join_system(left, right)
-    return is_solvable(a, b)

@@ -72,7 +72,6 @@ from repro.singularity.proper import (
     Properization,
     ProperizationError,
     is_proper,
-    lemma39_holds_on,
     make_proper,
     required_c_bits,
     required_e_row_bits,
@@ -174,7 +173,6 @@ __all__ = [
     "Properization",
     "ProperizationError",
     "is_proper",
-    "lemma39_holds_on",
     "make_proper",
     "required_c_bits",
     "required_e_row_bits",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.bits import MatrixBitCodec
 from repro.comm.partition import Partition
 from repro.singularity.family import RestrictedFamily
 from repro.util.rng import ReproducibleRNG
@@ -256,13 +255,3 @@ def _greedy_casting(family: RestrictedFamily, w, rng):
     if len(e_rows) < h:
         return None
     return c_rows, c_cols, e_rows, e_cols, c_weight, e_weights
-
-
-def lemma39_holds_on(
-    family: RestrictedFamily, partitions, seed: int = 0
-) -> bool:
-    """Run the normalization on each partition; True iff all succeed with a
-    verified certificate."""
-    for p in partitions:
-        make_proper(family, p, seed=seed)
-    return True

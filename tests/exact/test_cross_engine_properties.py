@@ -4,10 +4,11 @@ Hypothesis drives random integer matrices through *all* the independent
 implementations of determinant, rank, span membership, and the truth-matrix
 predicate, and demands agreement:
 
-* determinant: Bareiss / rational elimination / cofactor / CRT /
-  pure-Python mod-p / vectorized mod-p (batch kernel);
-* rank: rational elimination vs GF(p) (both engines, as a lower bound and
-  as exact agreement at a 2³¹-scale prime on small matrices);
+* determinant: Bareiss / rational elimination vs the cofactor and mod-p
+  oracles of ``tests/exact/oracles.py``;
+* rank: rational elimination vs GF(p) (the scalar engine and the truth
+  builder's echelon kernel, as a lower bound and as exact agreement at a
+  2³¹-scale prime on small matrices);
 * span membership: exact :class:`Subspace` vs the batched GF(p) filter
   (one-sided: exact members can never be mod-p non-members);
 * the restricted truth matrix: ``fraction`` vs ``modnp`` engines must be
@@ -26,16 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exact import modnp
-from repro.exact.determinant import (
-    bareiss_determinant,
-    cofactor_determinant,
-    rational_determinant,
-)
+from repro.exact.determinant import bareiss_determinant, rational_determinant
 from repro.exact.matrix import Matrix
-from repro.exact.modular import det_mod_rows, rank_mod as rank_mod_py
+from repro.exact.modular import rank_mod
 from repro.exact.rank import rank
 from repro.exact.span import Subspace
 from repro.exact.vector import Vector
+from tests.exact.oracles import cofactor_determinant, det_mod
 
 P = modnp.DEFAULT_PRIME
 
@@ -74,18 +72,16 @@ def test_all_determinant_engines_agree(rows):
     exact = bareiss_determinant(m)
     assert rational_determinant(m) == Fraction(exact)
     assert cofactor_determinant(m) == Fraction(exact)
-    assert det_mod_rows(rows, P) == exact % P
-    assert modnp.det_mod(rows, P) == exact % P
-    assert int(modnp.det_mod_batch([rows], P)[0]) == exact % P
+    assert det_mod(rows, P) == exact % P
 
 
 @settings(max_examples=60, deadline=None)
 @given(rect_int_matrices())
 def test_rank_engines_agree(rows):
     exact = rank(Matrix(rows))
-    py = rank_mod_py(rows, P)
-    vec = modnp.rank_mod(rows, P)
-    assert py == vec  # the two GF(p) engines are interchangeable
+    py = rank_mod(rows, P)
+    vec = len(modnp.echelon_mod(rows, P)[1])
+    assert py == vec  # the two GF(p) kernels are interchangeable
     assert vec <= exact  # rank never grows under reduction
     # Entries are tiny (< 31): no minor of a 5x5 can reach 2^31-scale, so
     # the mod-p rank is in fact exact here.

@@ -1,4 +1,7 @@
-"""Tests for the determinant engines (three-way oracle + bounds)."""
+"""Tests for the determinant engines (three-way oracle + bounds).
+
+The cofactor and CRT references come from ``tests/exact/oracles.py``.
+"""
 
 from fractions import Fraction
 
@@ -6,17 +9,18 @@ import pytest
 
 from repro.exact.determinant import (
     bareiss_determinant,
-    cofactor_determinant,
-    crt_determinant,
     determinant,
     hadamard_bound,
     hadamard_bound_kbit,
-    max_prime_divisors,
     rational_determinant,
 )
 from repro.exact.matrix import Matrix
-from repro.exact.modular import primes_for_crt_bound
 from repro.util.rng import ReproducibleRNG
+from tests.exact.oracles import (
+    cofactor_determinant,
+    crt_determinant,
+    primes_for_crt_bound,
+)
 
 
 class TestEnginesAgree:
@@ -87,10 +91,6 @@ class TestHadamardBound:
         assert hadamard_bound_kbit(1, 3) == 7
         with pytest.raises(ValueError):
             hadamard_bound_kbit(0, 1)
-
-    def test_max_prime_divisors_positive(self):
-        m = Matrix([[3, 1], [1, 3]])
-        assert max_prime_divisors(m, 2) >= 1
 
     def test_requires_square(self):
         with pytest.raises(ValueError):

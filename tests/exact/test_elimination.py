@@ -4,15 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.exact.elimination import (
-    back_substitute,
-    bareiss_echelon,
-    elimination_agreement,
-    row_echelon,
-    rref,
-)
+from repro.exact.elimination import bareiss_echelon, row_echelon, rref
 from repro.exact.matrix import Matrix
 from repro.util.rng import ReproducibleRNG
+from tests.exact.oracles import elimination_agreement
 
 
 class TestRowEchelon:
@@ -104,28 +99,3 @@ class TestBareiss:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             bareiss_echelon(Matrix([[Fraction(1, 3)]]))
-
-
-class TestBackSubstitute:
-    def test_solves_triangular(self):
-        m = Matrix([[1, 2], [0, 3]])
-        ech = row_echelon(m)
-        x = back_substitute(ech, [Fraction(5), Fraction(6)])
-        assert x is not None
-        assert m.matvec(x) == (5, 6)
-
-    def test_detects_inconsistency(self):
-        m = Matrix([[1, 1], [0, 0]])
-        ech = row_echelon(m)
-        assert back_substitute(ech, [Fraction(1), Fraction(1)]) is None
-
-    def test_free_variables_zero(self):
-        m = Matrix([[1, 1, 1]])
-        ech = row_echelon(m)
-        x = back_substitute(ech, [Fraction(3)])
-        assert x == [Fraction(3), Fraction(0), Fraction(0)]
-
-    def test_length_check(self):
-        ech = row_echelon(Matrix.identity(2))
-        with pytest.raises(ValueError):
-            back_substitute(ech, [Fraction(1)])

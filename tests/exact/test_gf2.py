@@ -7,8 +7,6 @@ from repro.exact.gf2 import (
     gf2_rank,
     gf2_rank_of_matrix,
     gf2_rank_of_truth_matrix,
-    gf2_solve,
-    gf2_verify,
     pack_numpy,
     pack_rows,
 )
@@ -76,33 +74,3 @@ class TestRank:
             np.eye(1024, dtype=np.uint8), tuple(range(1024)), tuple(range(1024))
         )
         assert gf2_rank_of_truth_matrix(tm) == 1024
-
-
-class TestSolve:
-    def test_unique_system(self):
-        packed, w = pack_rows([[1, 0], [0, 1]])
-        x = gf2_solve(packed, w, [1, 0])
-        assert x == 0b01
-        assert gf2_verify(packed, w, x, [1, 0])
-
-    def test_solution_verifies_random(self):
-        rng = ReproducibleRNG(3)
-        solved = 0
-        for _ in range(20):
-            rows = [[rng.randrange(2) for _ in range(6)] for _ in range(4)]
-            packed, w = pack_rows(rows)
-            rhs = [rng.randrange(2) for _ in range(4)]
-            x = gf2_solve(packed, w, rhs)
-            if x is not None:
-                solved += 1
-                assert gf2_verify(packed, w, x, rhs)
-        assert solved > 10
-
-    def test_inconsistent(self):
-        packed, w = pack_rows([[1, 0], [1, 0]])
-        assert gf2_solve(packed, w, [0, 1]) is None
-
-    def test_rhs_length_check(self):
-        packed, w = pack_rows([[1, 0]])
-        with pytest.raises(ValueError):
-            gf2_solve(packed, w, [1, 0])

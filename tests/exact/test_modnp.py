@@ -1,17 +1,18 @@
-"""Oracle tests for the vectorized GF(p) kernels (repro.exact.modnp).
+"""Oracle tests for the truth builder's GF(p) kernels (repro.exact.modnp).
 
-Every kernel is checked against an independent engine: the pure-Python
-mod-p elimination of :mod:`repro.exact.modular`, the fraction-free Bareiss
-determinant, and the exact :class:`~repro.exact.span.Subspace` membership.
+Each kernel is checked against an independent engine: the echelon rank
+against the scalar GF(p) engine :func:`repro.exact.modular.rank_mod`, and
+span membership against the exact :class:`~repro.exact.span.Subspace`.
+The fingerprint decision, which runs on that scalar engine at any prime,
+is held to the echelon rank where both apply.
 """
 
 import numpy as np
 import pytest
 
 from repro.exact import modnp
-from repro.exact.determinant import bareiss_determinant
 from repro.exact.matrix import Matrix
-from repro.exact.modular import det_mod_rows, rank_mod as rank_mod_py
+from repro.exact.modular import is_prime, is_singular_mod, rank_mod
 from repro.exact.span import Subspace
 from repro.exact.vector import Vector
 from repro.util.rng import ReproducibleRNG
@@ -28,23 +29,25 @@ def random_rows(rng, n_rows, n_cols, lo=-50, hi=50):
 class TestValidation:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError, match="prime"):
-            modnp.rank_mod([[1]], 6)
+            modnp.echelon_mod([[1]], 6)
+        with pytest.raises(ValueError, match="prime"):
+            modnp.span_membership_batch([[1]], [[1]], 6)
 
     def test_rejects_negative_modulus(self):
         with pytest.raises(ValueError, match="prime"):
-            modnp.det_mod([[1]], -7)
+            modnp.echelon_mod([[1]], -7)
+        with pytest.raises(ValueError, match="prime"):
+            modnp.span_membership_batch([[1]], [[1]], -7)
 
     def test_rejects_oversized_prime(self):
         big = 2305843009213693951  # Mersenne prime 2^61 - 1, way over 2^31
         with pytest.raises(ValueError, match="2\\^31"):
-            modnp.rank_mod([[1]], big)
+            modnp.echelon_mod([[1]], big)
+        with pytest.raises(ValueError, match="2\\^31"):
+            modnp.span_membership_batch([[1]], [[1]], big)
 
     def test_default_prime_fits_kernel(self):
         assert modnp.DEFAULT_PRIME < modnp.MAX_MODULUS
-
-    def test_rejects_nonsquare_det(self):
-        with pytest.raises(ValueError, match="square"):
-            modnp.det_mod([[1, 2]], 7)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -81,7 +84,7 @@ class TestRankOracle:
         rng = ReproducibleRNG(p)
         for _ in range(15):
             rows = random_rows(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-            assert modnp.rank_mod(rows, p) == rank_mod_py(rows, p)
+            assert len(modnp.echelon_mod(rows, p)[1]) == rank_mod(rows, p)
 
     def test_echelon_shape_contract(self):
         ech, pivots = modnp.echelon_mod([[2, 4], [1, 2], [0, 1]], 7)
@@ -89,39 +92,6 @@ class TestRankOracle:
         # Unit pivots, zeros below.
         assert ech[0, 0] == 1 and ech[1, pivots[1]] == 1
         assert ech[1, 0] == 0 and ech[2, 0] == 0
-
-
-class TestDetOracle:
-    @pytest.mark.parametrize("p", (3, 10007, modnp.DEFAULT_PRIME))
-    def test_single_matches_engines(self, p):
-        rng = ReproducibleRNG(p + 1)
-        for _ in range(15):
-            n = rng.randrange(1, 6)
-            rows = random_rows(rng, n, n)
-            expected = bareiss_determinant(Matrix(rows)) % p
-            assert modnp.det_mod(rows, p) == expected
-            assert modnp.det_mod(rows, p) == det_mod_rows(rows, p)
-
-    def test_batch_matches_singles(self):
-        rng = ReproducibleRNG(99)
-        p = 10007
-        mats = [random_rows(rng, 4, 4) for _ in range(40)]
-        batched = modnp.det_mod_batch(mats, p)
-        for mat, d in zip(mats, batched):
-            assert int(d) == modnp.det_mod(mat, p)
-
-    def test_batch_mixes_singular_and_not(self):
-        p = 101
-        mats = [
-            [[1, 2], [2, 4]],     # singular
-            [[0, 1], [1, 0]],     # det -1 (swap path)
-            [[3, 0], [0, 5]],     # det 15
-            [[0, 0], [0, 0]],     # zero matrix
-        ]
-        assert modnp.det_mod_batch(mats, p).tolist() == [0, p - 1, 15, 0]
-
-    def test_swap_sign(self):
-        assert modnp.det_mod([[0, 1], [1, 0]], 7) == 6
 
 
 class TestSpanMembership:
@@ -155,14 +125,6 @@ class TestSpanMembership:
             # At a 2^31-scale prime, no false positives in practice either.
             assert verdict.tolist() == exact
 
-    def test_column_span_wrapper(self):
-        # Columns of A span {(1,0,1), (0,1,1)}-space.
-        a = [[1, 0], [0, 1], [1, 1]]
-        verdict = modnp.column_span_membership_batch(
-            a, [[1, 0, 1], [0, 1, 1], [1, 1, 2], [0, 0, 1]], 10007
-        )
-        assert verdict.tolist() == [True, True, True, False]
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             modnp.span_membership_batch([[1, 0]], [[1, 0, 0]], 7)
@@ -170,16 +132,22 @@ class TestSpanMembership:
 
 class TestFingerprintDispatch:
     def test_small_prime_agrees_with_python(self):
-        m = [[1, 2], [2, 4]]
-        assert modnp.is_singular_mod(m, 10007)
-        assert not modnp.is_singular_mod([[1, 0], [0, 1]], 10007)
+        # Below 2^31 the fingerprint decision agrees with the echelon rank.
+        rng = ReproducibleRNG(10007)
+        for _ in range(15):
+            n = rng.randrange(1, 6)
+            rows = random_rows(rng, n, n, lo=-3, hi=4)
+            expected = len(modnp.echelon_mod(rows, 10007)[1]) < n
+            assert is_singular_mod(rows, 10007) == expected
+        assert is_singular_mod([[1, 2], [2, 4]], 10007)
+        assert not is_singular_mod([[1, 0], [0, 1]], 10007)
 
     def test_oversized_prime_falls_back(self):
         # A 33-bit prime (what default_prime_bits can produce at n=255):
-        # must dispatch to the pure-Python engine, not raise.
+        # modnp refuses it, the scalar engine decides it.
         p = 8589934609
-        from repro.exact.modular import is_prime
-
         assert is_prime(p)
-        assert modnp.is_singular_mod([[1, 2], [2, 4]], p)
-        assert not modnp.is_singular_mod([[1, 0], [0, 1]], p)
+        with pytest.raises(ValueError, match="2\\^31"):
+            modnp.echelon_mod([[1, 2], [2, 4]], p)
+        assert is_singular_mod([[1, 2], [2, 4]], p)
+        assert not is_singular_mod([[1, 0], [0, 1]], p)

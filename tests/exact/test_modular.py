@@ -1,6 +1,9 @@
-"""Tests for mod-p arithmetic (the randomized protocol's substrate)."""
+"""Tests for mod-p arithmetic (the randomized protocol's substrate).
 
-import warnings
+The determinant-mod-p, ``solve_mod`` and CRT tests check the reference
+engines of ``tests/exact/oracles.py``, which the determinant and
+solvability checks lean on.
+"""
 
 import pytest
 
@@ -8,22 +11,23 @@ from repro.exact.determinant import bareiss_determinant
 from repro.exact.matrix import Matrix
 from repro.exact.modular import (
     count_primes_with_bits,
-    crt_combine,
-    det_mod,
-    det_mod_rows,
     is_prime,
     is_singular_mod,
     next_prime,
-    primes_for_crt_bound,
     primes_in_range,
     random_prime_with_bits,
     rank_mod,
-    solve_mod,
 )
 from repro.exact.rank import is_singular, rank
 from repro.exact.solve import is_solvable
 from repro.exact.vector import Vector
 from repro.util.rng import ReproducibleRNG
+from tests.exact.oracles import (
+    crt_combine,
+    det_mod,
+    primes_for_crt_bound,
+    solve_mod,
+)
 
 
 class TestPrimes:
@@ -77,49 +81,24 @@ class TestModularLinearAlgebra:
         for _ in range(25):
             m = Matrix.random_kbit(rng, 4, 4, 3)
             p = 10007
-            assert det_mod(m, p) == bareiss_determinant(m) % p
+            assert det_mod(m.to_int_rows(), p) == bareiss_determinant(m) % p
 
     def test_det_mod_with_swaps(self):
         m = Matrix([[0, 1], [1, 0]])
-        assert det_mod(m, 7) == (-1) % 7
+        assert det_mod(m.to_int_rows(), 7) == (-1) % 7
 
     def test_det_mod_rows_wire_format(self):
-        assert det_mod_rows([[0, 1], [1, 0]], 7) == (-1) % 7
-
-    def test_det_mod_raw_rows_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="det_mod_rows"):
-            assert det_mod([[0, 1], [1, 0]], 7) == (-1) % 7
-
-    def test_det_mod_deprecation_blames_the_caller(self):
-        # stacklevel=2 must attribute the warning to the calling file, not
-        # to modular.py — otherwise downstream users cannot find their own
-        # raw-rows call sites from the warning output.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            det_mod([[0, 1], [1, 0]], 7)
-        (record,) = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert record.filename == __file__
-
-    def test_det_mod_matrix_path_warns_nothing(self):
-        # The supported Matrix path must stay silent — the shim fires only
-        # for raw row sequences.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert det_mod(Matrix([[0, 1], [1, 0]]), 7) == (-1) % 7
+        assert det_mod([[0, 1], [1, 0]], 7) == (-1) % 7
 
     def test_det_mod_requires_prime(self):
         with pytest.raises(ValueError):
-            det_mod(Matrix([[1]]), 4)
+            det_mod([[1]], 4)
         with pytest.raises(ValueError):
-            det_mod_rows([[1]], 4)
-        with pytest.raises(ValueError):
-            det_mod(Matrix([[1]]), -3)
+            det_mod([[1]], -3)
 
     def test_det_mod_requires_square(self):
         with pytest.raises(ValueError):
-            det_mod_rows([[1, 2]], 7)
+            det_mod([[1, 2]], 7)
 
     def test_singular_mod_one_sided(self):
         # Singular over Q => singular mod every p.
@@ -134,6 +113,20 @@ class TestModularLinearAlgebra:
         assert not is_singular(m)
         assert is_singular_mod(m.to_int_rows(), 7)
         assert not is_singular_mod(m.to_int_rows(), 11)
+
+    def test_rank_mod_rejects_bad_modulus(self):
+        for p in (6, 1, -7):
+            with pytest.raises(ValueError):
+                rank_mod([[1]], p)
+        with pytest.raises(ValueError):
+            rank_mod([], 7)
+
+    def test_singular_mod_requires_square(self):
+        # A 2x3 has no determinant: neither "singular" nor "nonsingular".
+        with pytest.raises(ValueError, match="square"):
+            is_singular_mod([[1, 0, 0], [0, 1, 0]], 7)
+        with pytest.raises(ValueError, match="square"):
+            is_singular_mod([[1, 0], [0, 1], [0, 0]], 7)
 
     def test_solve_mod_agrees_with_exact_solvability(self):
         rng = ReproducibleRNG(4)

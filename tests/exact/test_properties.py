@@ -9,20 +9,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exact.determinant import (
-    bareiss_determinant,
-    cofactor_determinant,
-    hadamard_bound,
-)
+from repro.exact.determinant import bareiss_determinant, hadamard_bound
 from repro.exact.elimination import bareiss_echelon, row_echelon
 from repro.exact.matrix import Matrix
-from repro.exact.modular import det_mod, rank_mod
+from repro.exact.modular import rank_mod
 from repro.exact.lu import lup_decompose
 from repro.exact.qr import qr_decompose
 from repro.exact.rank import rank
 from repro.exact.solve import nullity, solve, verify_solution
 from repro.exact.span import Subspace
 from repro.exact.vector import Vector
+from tests.exact.oracles import cofactor_determinant, det_mod
 
 entries = st.integers(min_value=-8, max_value=8)
 
@@ -87,7 +84,7 @@ def test_rank_mod_lower_bounds_rank(m):
 @settings(max_examples=40, deadline=None)
 @given(square_matrices())
 def test_det_mod_is_reduction(m):
-    assert det_mod(m, 10007) == bareiss_determinant(m) % 10007
+    assert det_mod(m.to_int_rows(), 10007) == bareiss_determinant(m) % 10007
 
 
 @settings(max_examples=40, deadline=None)
