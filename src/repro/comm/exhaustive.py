@@ -20,8 +20,9 @@ O(n) mask operations against precomputed per-row/per-column one-masks.  The
 search is branch-and-bound: admissible lower bounds (GF(2) rank pair via
 :mod:`repro.exact.gf2`, greedy fooling sets via :mod:`repro.comm.rectangles`
 — see docs/performance.md for the admissibility proofs) prune whole
-subtrees, and a symmetry normal form (iterated row/column sort + transpose
-minimum) lets permutation-equivalent subrectangles share one memo entry.
+subtrees, and a symmetry normal form (column/row sorts to a fixed point,
+at most 3 rounds, then the transpose minimum) lets permutation-equivalent
+subrectangles share one memo entry.
 Size limit: :data:`DEFAULT_LIMIT` (18) rows/columns after deduplication.
 The unpruned tuple-of-indices DP the test suite checks this search
 against lives in ``tests/comm/exact_oracle.py``.
@@ -135,30 +136,6 @@ def _bipartitions(members: tuple[int, ...]):
             yield tuple(left), tuple(right)
 
 
-def _bits(mask: int) -> list[int]:
-    """Set bit positions of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _extract(value: int, mask: int) -> int:
-    """Software PEXT: compress ``value``'s bits at ``mask``'s set positions
-    into the low bits (ascending position order)."""
-    out = 0
-    bit = 1
-    while mask:
-        low = mask & -mask
-        if value & low:
-            out |= bit
-        mask ^= low
-        bit <<= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The branch-and-bound search.
 # ---------------------------------------------------------------------------
@@ -172,20 +149,21 @@ class _Canon:
     transpose), so they may share one memo entry — ``key`` literally *is*
     ``(n_rows, n_cols, row_patterns)`` of a reordered copy of the reduced
     submatrix, so key equality means the reordered copies are the same
-    matrix.  ``classes[axis]`` maps each canonical axis position to the mask
-    of *actual* deduped-matrix indices it stands for (duplicate rows/columns
-    of the subrectangle ride along with their representative).
-    ``transposed`` records whether canonical axis 0 is actual columns.
+    matrix.  ``classes[axis]`` (None until :meth:`_BitsetSearch._class_maps`
+    needs it) maps each canonical axis position to the mask of *actual*
+    deduped-matrix indices it stands for (duplicate rows/columns of the
+    subrectangle ride along with their representative).  ``transposed``
+    records whether canonical axis 0 is actual columns.
     """
 
     __slots__ = ("row_mask", "col_mask", "key", "transposed", "classes")
 
-    def __init__(self, row_mask, col_mask, key, transposed, classes):
+    def __init__(self, row_mask, col_mask, key, transposed):
         self.row_mask = row_mask
         self.col_mask = col_mask
         self.key = key
         self.transposed = transposed
-        self.classes = classes
+        self.classes = None
 
 
 class _Entry:
@@ -218,43 +196,71 @@ class _Entry:
         self.lb_leaves = None
 
 
-def _refined_orders(patterns: list[int], nr: int, nc: int):
-    """Iteratively sort columns then rows by pattern value (3 rounds).
+class _SetBits(dict):
+    """Set-bit positions of each mask, ascending, computed on first lookup."""
 
-    Returns ``(final_row_patterns, row_order, col_order)``.  All patterns
-    are distinct (the matrix is deduplicated), so each sort is a total
-    deterministic order; the iteration just drives permutation-equivalent
-    matrices toward a common fixed point.  Convergence is *not* required
-    for soundness — any reordering yields a valid normal-form candidate.
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        positions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        self[mask] = positions
+        return positions
+
+
+def _refined_orders(patterns: list[int], col_patterns: list[int], set_bits):
+    """Sort columns, then rows, by pattern value, for at most 3 rounds.
+
+    Takes a matrix's row patterns, its column patterns and a
+    :class:`_SetBits`; returns ``(final_row_patterns, row_order,
+    col_order)``.  Patterns are rebuilt by scattering set-bit positions,
+    and ties break by index, so each order is a function of the other: a
+    round that reproduces either order is a fixed point, and stopping
+    there returns what three full rounds return (docs/performance.md §5).
     """
+    nr, nc = len(patterns), len(col_patterns)
+    row_bits = [set_bits[p] for p in patterns]
     row_order = list(range(nr))
-    col_order = list(range(nc))
-    for _ in range(3):
-        col_pats = []
-        for c in col_order:
-            v = 0
+    col_order = None
+    col_pats = col_patterns
+    for round_ in range(3):
+        if round_:
+            col_pats = [0] * nc
             for t, r in enumerate(row_order):
-                if patterns[r] >> c & 1:
-                    v |= 1 << t
-            col_pats.append(v)
-        col_order = [c for _, c in sorted(zip(col_pats, col_order))]
-        row_pats = []
-        for r in row_order:
-            v = 0
-            for k, c in enumerate(col_order):
-                if patterns[r] >> c & 1:
-                    v |= 1 << k
-            row_pats.append(v)
-        pairs = sorted(zip(row_pats, row_order))
-        row_order = [r for _, r in pairs]
-    final = []
-    for r in row_order:
-        v = 0
+                bit = 1 << t
+                for c in row_bits[r]:
+                    col_pats[c] |= bit
+        new_cols = sorted(range(nc), key=col_pats.__getitem__)
+        if new_cols == col_order:
+            break
+        col_order = new_cols
+        col_bit = [0] * nc
         for k, c in enumerate(col_order):
-            if patterns[r] >> c & 1:
-                v |= 1 << k
-        final.append(v)
-    return tuple(final), row_order, col_order
+            col_bit[c] = 1 << k
+        row_pats = [0] * nr
+        for r, bits in enumerate(row_bits):
+            v = 0
+            for c in bits:
+                v |= col_bit[c]
+            row_pats[r] = v
+        new_rows = sorted(range(nr), key=row_pats.__getitem__)
+        if new_rows == row_order:
+            break
+        row_order = new_rows
+    return tuple([row_pats[r] for r in row_order]), row_order, col_order
+
+
+def _canonical_view(patterns: list[int], col_patterns: list[int], set_bits):
+    """``(key, transposed, axis0_order, axis1_order)`` of a reduced matrix:
+    the smaller ordering, straight or transposed.  Keys start with their
+    shape, so only a square matrix needs both; a tie keeps the straight."""
+    nr, nc = len(patterns), len(col_patterns)
+    view = None
+    if nr <= nc:
+        rows_key, order0, order1 = _refined_orders(patterns, col_patterns, set_bits)
+        view = ((nr, nc, rows_key), False, order0, order1)
+    if nc <= nr:
+        cols_key, order0, order1 = _refined_orders(col_patterns, patterns, set_bits)
+        if view is None or (nc, nr, cols_key) < view[0]:
+            view = ((nc, nr, cols_key), True, order0, order1)
+    return view
 
 
 class _BitsetSearch:
@@ -275,97 +281,86 @@ class _BitsetSearch:
         self.n_cols = n_cols
         self.row_ones, _ = pack_numpy(data)
         self.col_ones, _ = pack_numpy(data.T)
+        self.set_bits = _SetBits()
         self.full_rows = (1 << n_rows) - 1
         self.full_cols = (1 << n_cols) - 1
         self.memo: dict[tuple, _Entry] = {}
         self._canon_cache: dict[tuple[int, int], _Canon] = {}
+        self._views: dict[tuple, tuple] = {}
 
     # -- canonicalization ----------------------------------------------
-    def _reduce(self, row_mask: int, col_mask: int) -> tuple[int, int]:
-        """Collapse duplicate rows/columns of the subrectangle to their
-        lowest-index representative, iterating to a fixed point (collapsing
-        one axis can create duplicates on the other)."""
-        changed = True
-        while changed:
-            changed = False
-            seen: set[int] = set()
-            new_rows = 0
-            for i in _bits(row_mask):
-                pattern = self.row_ones[i] & col_mask
-                if pattern not in seen:
-                    seen.add(pattern)
-                    new_rows |= 1 << i
-            if new_rows != row_mask:
-                row_mask = new_rows
-                changed = True
-            seen = set()
-            new_cols = 0
-            for j in _bits(col_mask):
-                pattern = self.col_ones[j] & row_mask
-                if pattern not in seen:
-                    seen.add(pattern)
-                    new_cols |= 1 << j
-            if new_cols != col_mask:
-                col_mask = new_cols
-                changed = True
-        return row_mask, col_mask
+    def compact(self) -> None:
+        """Drop the canonical-form caches; ``memo`` keeps every answer."""
+        self._canon_cache.clear()
+        self._views.clear()
+
+    def _reduced(self, row_mask: int, col_mask: int):
+        """``(row_groups, col_groups, patterns, col_patterns)``: rows grouped
+        by their pattern on ``col_mask``, columns by theirs on ``row_mask``
+        (pattern -> class mask, by ascending representative), and the row
+        and column patterns of the representatives.  One pass per axis is
+        a fixed point: dropping duplicate columns never merges rows."""
+        set_bits, row_ones, col_ones = self.set_bits, self.row_ones, self.col_ones
+        row_groups: dict[int, int] = {}
+        position: dict[int, int] = {}  # representative row -> its position
+        reduced_rows = 0
+        for i in set_bits[row_mask]:
+            pattern = row_ones[i] & col_mask
+            if pattern in row_groups:
+                row_groups[pattern] |= 1 << i
+            else:
+                row_groups[pattern] = 1 << i
+                position[i] = len(position)
+                reduced_rows |= 1 << i
+        col_groups: dict[int, int] = {}
+        for j in set_bits[col_mask]:
+            pattern = col_ones[j] & row_mask
+            if pattern in col_groups:
+                col_groups[pattern] |= 1 << j
+            else:
+                col_groups[pattern] = 1 << j
+        patterns = [0] * len(row_groups)
+        col_patterns = [0] * len(col_groups)
+        for k, ones in enumerate(col_groups):
+            bit = 1 << k
+            v = 0
+            for i in set_bits[ones & reduced_rows]:
+                t = position[i]
+                patterns[t] |= bit
+                v |= 1 << t
+            col_patterns[k] = v
+        return row_groups, col_groups, patterns, col_patterns
 
     def _canon(self, row_mask: int, col_mask: int) -> _Canon:
+        """The canonical view of a subrectangle (see :class:`_Canon`).
+
+        ``_canon_cache`` (by masks) and ``_views`` (by reduced patterns) are
+        keyed by matrix content, so they live on the instance: a query after
+        :func:`clear_search_cache` is cold again.  A module-level table may
+        hold only input-independent facts."""
         cached = self._canon_cache.get((row_mask, col_mask))
         if cached is not None:
             return cached
-        reduced_rows, reduced_cols = self._reduce(row_mask, col_mask)
-        rows = _bits(reduced_rows)
-        cols = _bits(reduced_cols)
-        nr, nc = len(rows), len(cols)
-        patterns = [
-            _extract(self.row_ones[i] & reduced_cols, reduced_cols)
-            for i in rows
-        ]
-        key_rows, row_order, col_order = _refined_orders(patterns, nr, nc)
-        key_straight = (nr, nc, key_rows)
-        col_patterns = [
-            _extract(self.col_ones[j] & reduced_rows, reduced_rows)
-            for j in cols
-        ]
-        key_cols, t_row_order, t_col_order = _refined_orders(
-            col_patterns, nc, nr
-        )
-        key_transposed = (nc, nr, key_cols)
-        transposed = key_transposed < key_straight
-        # Class masks: every actual row/column of the (unreduced)
-        # subrectangle grouped with the representative it matches.
-        row_groups: dict[int, int] = {}
-        for i in _bits(row_mask):
-            pattern = self.row_ones[i] & reduced_cols
-            row_groups[pattern] = row_groups.get(pattern, 0) | (1 << i)
-        col_groups: dict[int, int] = {}
-        for j in _bits(col_mask):
-            pattern = self.col_ones[j] & reduced_rows
-            col_groups[pattern] = col_groups.get(pattern, 0) | (1 << j)
-        if transposed:
-            key = key_transposed
-            axis0 = tuple(
-                col_groups[self.col_ones[cols[c]] & reduced_rows]
-                for c in t_row_order
-            )
-            axis1 = tuple(
-                row_groups[self.row_ones[rows[r]] & reduced_cols]
-                for r in t_col_order
-            )
-        else:
-            key = key_straight
-            axis0 = tuple(
-                row_groups[self.row_ones[rows[r]] & reduced_cols]
-                for r in row_order
-            )
-            axis1 = tuple(
-                col_groups[self.col_ones[cols[c]] & reduced_rows]
-                for c in col_order
-            )
-        canon = _Canon(row_mask, col_mask, key, transposed, (axis0, axis1))
+        _rows, _cols, patterns, col_patterns = self._reduced(row_mask, col_mask)
+        memo_key = (len(col_patterns), *patterns)
+        view = self._views.get(memo_key)
+        if view is None:
+            view = _canonical_view(patterns, col_patterns, self.set_bits)[:2]
+            self._views[memo_key] = view
+        canon = _Canon(row_mask, col_mask, *view)
         self._canon_cache[(row_mask, col_mask)] = canon
         return canon
+
+    def _class_maps(self, canon: _Canon) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``canon.classes``, built when the search first splits it."""
+        if canon.classes is None:
+            rows, cols, patterns, col_patterns = self._reduced(canon.row_mask, canon.col_mask)
+            _, transposed, order0, order1 = _canonical_view(patterns, col_patterns, self.set_bits)
+            axis0, axis1 = list(rows.values()), list(cols.values())
+            if transposed:
+                axis0, axis1 = axis1, axis0
+            canon.classes = (tuple([axis0[i] for i in order0]), tuple([axis1[i] for i in order1]))
+        return canon.classes
 
     def _entry(self, canon: _Canon) -> _Entry:
         entry = self.memo.get(canon.key)
@@ -377,7 +372,7 @@ class _BitsetSearch:
 
     def _children(self, canon: _Canon, axis: int, left, right):
         """Actual ``(row_mask, col_mask)`` pairs of a canonical split."""
-        classes = canon.classes[axis]
+        classes = self._class_maps(canon)[axis]
         left_mask = 0
         for position in left:
             left_mask |= classes[position]
@@ -552,8 +547,8 @@ class _BitsetSearch:
         canon = self._canon(row_mask, col_mask)
         entry = self._entry(canon)
         if entry.mono is not None:
-            i = _bits(row_mask)[0]
-            j = _bits(col_mask)[0]
+            i = self.set_bits[row_mask][0]
+            j = self.set_bits[col_mask][0]
             return ["L", int(self.data[i, j])]
         if entry.d_exact is None or entry.d_split is None:
             self._solve_d_node(row_mask, col_mask)
@@ -562,7 +557,7 @@ class _BitsetSearch:
             canon, axis, left, right
         )
         return [
-            "N", actual_axis, _bits(right_mask),
+            "N", actual_axis, list(self.set_bits[right_mask]),
             self._serialized_tree(*child_a),
             self._serialized_tree(*child_b),
         ]
@@ -606,6 +601,10 @@ def _search_for(deduped: TruthMatrix) -> _BitsetSearch:
             return existing
         obs.counter("exhaustive.search_cache.misses").inc()
         trace.event("exhaustive.search_memo", hit=False)
+        # Searches left behind keep their answers but not the canonical-form
+        # caches (four fifths of their memory), which rebuild on demand.
+        for cached in _SEARCH_CACHE.values():
+            cached.compact()
         _SEARCH_CACHE[key] = search
         while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
             _SEARCH_CACHE.popitem(last=False)

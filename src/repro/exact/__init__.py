@@ -80,7 +80,6 @@ from repro.exact.modular import (
 from repro.exact import modnp
 from repro.exact.gf2 import (
     gf2_rank,
-    gf2_rank_of_matrix,
     gf2_rank_of_truth_matrix,
     pack_numpy,
     pack_rows,
@@ -149,7 +148,6 @@ __all__ = [
     "random_prime_with_bits",
     "rank_mod",
     "gf2_rank",
-    "gf2_rank_of_matrix",
     "gf2_rank_of_truth_matrix",
     "pack_numpy",
     "pack_rows",

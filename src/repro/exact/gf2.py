@@ -62,20 +62,9 @@ def gf2_rank(packed: Sequence[int]) -> int:
     return rank
 
 
-def gf2_rank_of_matrix(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2) of an explicit 0/1 matrix."""
-    packed, _ = pack_rows(rows)
-    return gf2_rank(packed)
-
-
 def gf2_rank_of_truth_matrix(tm) -> int:
     """Rank over GF(2) of a :class:`~repro.comm.truth_matrix.TruthMatrix`."""
     packed, _ = pack_numpy(tm.data)
-    return gf2_rank(packed)
-
-
-def gf2_row_space_size_log2(packed: Sequence[int]) -> int:
-    """log₂ |row space| = rank (dimension over GF(2))."""
     return gf2_rank(packed)
 
 

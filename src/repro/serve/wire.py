@@ -34,6 +34,7 @@ only; ``message`` is never load-bearing.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Any
@@ -113,6 +114,14 @@ def encode_frame(obj: dict) -> bytes:
     return (canonical_json(stamped) + "\n").encode("utf-8")
 
 
+#: Decodes JSON objects with interned field names: the frames a client
+#: keeps then share one copy of each name, which halves a small reply's
+#: memory (the serve load generator holds every reply of a run).
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=lambda pairs: {sys.intern(key): value for key, value in pairs}
+)
+
+
 def decode_frame(data: bytes) -> dict:
     """Parse and checksum-verify one wire frame.
 
@@ -128,7 +137,7 @@ def decode_frame(data: bytes) -> dict:
     except UnicodeDecodeError as exc:
         raise FrameError("bad_frame", f"frame is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = _DECODER.decode(text)
     except ValueError as exc:
         raise FrameError("bad_frame", f"frame is not JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -9,8 +9,13 @@ search, which is exactly why it is the check on it: the cross-engine,
 parallel and cache suites demand the library's D(f), d^P(f) and tree
 depth equal this module's answers.
 
-Not a test module (pytest collects ``test_*.py`` only); import the two
-query helpers at the bottom.
+It also keeps the search's original canonical form
+(:func:`reference_canon`, built on the three-round :func:`_refined_orders`),
+the reference the fast normal-form kernel must reproduce exactly.
+
+Not a test module (pytest collects ``test_*.py`` only); import
+:func:`oracle_cc`, :func:`oracle_partition_number` or
+:func:`reference_canon`.
 """
 
 import numpy as np
@@ -169,3 +174,154 @@ def oracle_partition_number(tm: TruthMatrix) -> int:
     """Exact protocol partition number d^P(f) by the unpruned DP."""
     return _search(tm).solve_leaves_root()
 
+
+# ---------------------------------------------------------------------------
+# The canonical-form reference: the search's original normal form, kept
+# verbatim (full-width bit tests, always three rounds, no memo) so the fast
+# kernel in ``repro.comm.exhaustive`` can be held to it output for output.
+# ---------------------------------------------------------------------------
+
+
+def _refined_orders(patterns: list[int], nr: int, nc: int):
+    """Iteratively sort columns then rows by pattern value (3 rounds).
+
+    Returns ``(final_row_patterns, row_order, col_order)``.  All patterns
+    are distinct (the matrix is deduplicated), so each sort is a total
+    deterministic order; the iteration just drives permutation-equivalent
+    matrices toward a common fixed point.  Convergence is *not* required
+    for soundness — any reordering yields a valid normal-form candidate.
+    """
+    row_order = list(range(nr))
+    col_order = list(range(nc))
+    for _ in range(3):
+        col_pats = []
+        for c in col_order:
+            v = 0
+            for t, r in enumerate(row_order):
+                if patterns[r] >> c & 1:
+                    v |= 1 << t
+            col_pats.append(v)
+        col_order = [c for _, c in sorted(zip(col_pats, col_order))]
+        row_pats = []
+        for r in row_order:
+            v = 0
+            for k, c in enumerate(col_order):
+                if patterns[r] >> c & 1:
+                    v |= 1 << k
+            row_pats.append(v)
+        pairs = sorted(zip(row_pats, row_order))
+        row_order = [r for _, r in pairs]
+    final = []
+    for r in row_order:
+        v = 0
+        for k, c in enumerate(col_order):
+            if patterns[r] >> c & 1:
+                v |= 1 << k
+        final.append(v)
+    return tuple(final), row_order, col_order
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _extract(value: int, mask: int) -> int:
+    """Software PEXT: compress ``value``'s bits at ``mask``'s set positions
+    into the low bits (ascending position order)."""
+    out = 0
+    bit = 1
+    while mask:
+        low = mask & -mask
+        if value & low:
+            out |= bit
+        mask ^= low
+        bit <<= 1
+    return out
+
+
+def _reduce(search, row_mask: int, col_mask: int) -> tuple[int, int]:
+    """Collapse duplicate rows/columns of the subrectangle to their
+    lowest-index representative, iterating to a fixed point."""
+    changed = True
+    while changed:
+        changed = False
+        seen: set[int] = set()
+        new_rows = 0
+        for i in _bits(row_mask):
+            pattern = search.row_ones[i] & col_mask
+            if pattern not in seen:
+                seen.add(pattern)
+                new_rows |= 1 << i
+        if new_rows != row_mask:
+            row_mask = new_rows
+            changed = True
+        seen = set()
+        new_cols = 0
+        for j in _bits(col_mask):
+            pattern = search.col_ones[j] & row_mask
+            if pattern not in seen:
+                seen.add(pattern)
+                new_cols |= 1 << j
+        if new_cols != col_mask:
+            col_mask = new_cols
+            changed = True
+    return row_mask, col_mask
+
+
+def reference_canon(search, row_mask: int, col_mask: int):
+    """``(key, transposed, classes)`` of a subrectangle of ``search``'s
+    matrix, computed as the search's original ``_canon`` did."""
+    reduced_rows, reduced_cols = _reduce(search, row_mask, col_mask)
+    rows = _bits(reduced_rows)
+    cols = _bits(reduced_cols)
+    nr, nc = len(rows), len(cols)
+    patterns = [
+        _extract(search.row_ones[i] & reduced_cols, reduced_cols)
+        for i in rows
+    ]
+    key_rows, row_order, col_order = _refined_orders(patterns, nr, nc)
+    key_straight = (nr, nc, key_rows)
+    col_patterns = [
+        _extract(search.col_ones[j] & reduced_rows, reduced_rows)
+        for j in cols
+    ]
+    key_cols, t_row_order, t_col_order = _refined_orders(
+        col_patterns, nc, nr
+    )
+    key_transposed = (nc, nr, key_cols)
+    transposed = key_transposed < key_straight
+    row_groups: dict[int, int] = {}
+    for i in _bits(row_mask):
+        pattern = search.row_ones[i] & reduced_cols
+        row_groups[pattern] = row_groups.get(pattern, 0) | (1 << i)
+    col_groups: dict[int, int] = {}
+    for j in _bits(col_mask):
+        pattern = search.col_ones[j] & reduced_rows
+        col_groups[pattern] = col_groups.get(pattern, 0) | (1 << j)
+    if transposed:
+        key = key_transposed
+        axis0 = tuple(
+            col_groups[search.col_ones[cols[c]] & reduced_rows]
+            for c in t_row_order
+        )
+        axis1 = tuple(
+            row_groups[search.row_ones[rows[r]] & reduced_cols]
+            for r in t_col_order
+        )
+    else:
+        key = key_straight
+        axis0 = tuple(
+            row_groups[search.row_ones[rows[r]] & reduced_cols]
+            for r in row_order
+        )
+        axis1 = tuple(
+            col_groups[search.col_ones[cols[c]] & reduced_rows]
+            for c in col_order
+        )
+    return key, transposed, (axis0, axis1)

@@ -21,6 +21,7 @@ from repro.comm.exhaustive import (
 from repro.comm.measures import truth_matrix_rank, yao_bound
 from repro.comm.partition import Partition
 from repro.comm.truth_matrix import TruthMatrix, truth_matrix_from_function
+from repro.util.rng import ReproducibleRNG
 
 
 def tm_from(array) -> TruthMatrix:
@@ -165,6 +166,49 @@ class TestSharedSearch:
             first = obs.snapshot()["counters"]["exhaustive.subproblems"]
             communication_complexity(tm)
             assert obs.snapshot()["counters"]["exhaustive.subproblems"] == first
+
+    def test_query_after_clear_is_cold_again(self):
+        """Every content-keyed memo of the search (subproblems, canonical
+        views) lives on the search object, so after ``clear_search_cache()``
+        the same query misses the LRU and redoes exactly the same work."""
+        from repro import obs
+        from repro.comm import exhaustive
+
+        tm = tm_from(ReproducibleRNG(7).kbit_matrix(7, 7, 1))
+        runs = []
+        for _run in range(2):
+            exhaustive.clear_search_cache()
+            with obs.scoped():
+                answer = (communication_complexity(tm), partition_number(tm))
+                runs.append((answer, obs.snapshot()["counters"]))
+        (first_answer, first), (second_answer, second) = runs
+        assert second_answer == first_answer
+        assert first["exhaustive.search_cache.misses"] == 1
+        assert second["exhaustive.search_cache.misses"] == 1
+        assert second["exhaustive.subproblems"] == first["exhaustive.subproblems"] > 0
+        assert second["exhaustive.pruned"] == first["exhaustive.pruned"]
+
+    def test_searches_left_behind_keep_only_their_answers(self):
+        """A new matrix compacts the cached searches: their canonical-form
+        caches go, their answers stay, so coming back costs no new
+        subproblems and gives the same answers and tree."""
+        from repro import obs
+        from repro.comm import exhaustive
+
+        tm = gt_matrix(6)
+        exhaustive.clear_search_cache()
+        first = (communication_complexity(tm), partition_number(tm),
+                 optimal_protocol_tree(tm)[1].depth())
+        (search,) = exhaustive._SEARCH_CACHE.values()
+        assert search._canon_cache and search._views
+        communication_complexity(eq_matrix(5))
+        assert not search._canon_cache and not search._views
+        with obs.scoped():
+            again = (communication_complexity(tm), partition_number(tm),
+                     optimal_protocol_tree(tm)[1].depth())
+            counters = obs.snapshot()["counters"]
+        assert again == first
+        assert counters.get("exhaustive.subproblems", 0) == 0
 
     def test_cache_bounded(self):
         from repro.comm import exhaustive

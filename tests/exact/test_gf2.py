@@ -5,7 +5,6 @@ import pytest
 
 from repro.exact.gf2 import (
     gf2_rank,
-    gf2_rank_of_matrix,
     gf2_rank_of_truth_matrix,
     pack_numpy,
     pack_rows,
@@ -43,19 +42,19 @@ class TestPacking:
 
 class TestRank:
     def test_known_values(self):
-        assert gf2_rank_of_matrix([[1, 0], [0, 1]]) == 2
-        assert gf2_rank_of_matrix([[1, 1], [1, 1]]) == 1
-        assert gf2_rank_of_matrix([[0, 0], [0, 0]]) == 0
+        assert gf2_rank(pack_rows([[1, 0], [0, 1]])[0]) == 2
+        assert gf2_rank(pack_rows([[1, 1], [1, 1]])[0]) == 1
+        assert gf2_rank(pack_rows([[0, 0], [0, 0]])[0]) == 0
 
     def test_xor_dependence(self):
         # row3 = row1 XOR row2
-        assert gf2_rank_of_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
+        assert gf2_rank(pack_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])[0]) == 2
 
     def test_agrees_with_rank_mod_2(self):
         rng = ReproducibleRNG(1)
         for _ in range(20):
             rows = [[rng.randrange(2) for _ in range(6)] for _ in range(6)]
-            assert gf2_rank_of_matrix(rows) == rank_mod(rows, 2)
+            assert gf2_rank(pack_rows(rows)[0]) == rank_mod(rows, 2)
 
     def test_gf2_rank_lower_bounds_rational(self):
         rng = ReproducibleRNG(2)
@@ -63,7 +62,7 @@ class TestRank:
 
         for _ in range(15):
             rows = [[rng.randrange(2) for _ in range(5)] for _ in range(5)]
-            assert gf2_rank_of_matrix(rows) <= rational_rank(Matrix(rows))
+            assert gf2_rank(pack_rows(rows)[0]) <= rational_rank(Matrix(rows))
 
     def test_truth_matrix_interface(self):
         tm = TruthMatrix(np.eye(8, dtype=np.uint8), tuple(range(8)), tuple(range(8)))

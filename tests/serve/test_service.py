@@ -293,6 +293,48 @@ class TestDeadlines:
         for r in expired:
             assert r["error"]["retryable"] is True
 
+    def test_ticks_count_executions_not_expiries(self):
+        """``Service.ticks`` advances once per executed request; a request
+        answered ``deadline_exceeded`` is not executed and leaves it."""
+
+        async def scenario():
+            with obs.scoped():
+                async with Service(ServiceConfig(workers=1)) as service:
+                    before = service.ticks
+                    first = response_of(await service.call(
+                        request_frame("solo", "exhaustive.cc",
+                                      {"matrix": [[0, 1], [1, 1]]}),
+                        tenant="t",
+                    ))
+                    after_one = service.ticks
+                    raws = await asyncio.gather(*[
+                        service.call(
+                            request_frame(
+                                f"d{i}", "protocol.run",
+                                {"scenario": "equality", "seed": i},
+                                tenant=f"t{i}", deadline_ticks=1,
+                            ),
+                            tenant=f"t{i}",
+                        )
+                        for i in range(5)
+                    ])
+                    ticks = service.ticks
+                counters = obs.snapshot()["counters"]
+            return before, first, after_one, raws, ticks, counters
+
+        before, first, after_one, raws, ticks, counters = run(scenario())
+        assert first["ok"] is True
+        assert (before, after_one) == (0, 1)
+        codes = [
+            None if r["ok"] else r["error"]["code"]
+            for r in map(response_of, raws)
+        ]
+        expired = codes.count("deadline_exceeded")
+        assert expired  # the later arrivals waited behind the queue
+        assert ticks == after_one + len(codes) - expired
+        assert counters["serve.executed"] == ticks
+        assert counters["serve.deadline_expired"] == expired
+
     def test_generous_deadline_never_expires(self):
         frame = request_frame(
             "ok-1", "exhaustive.cc", {"matrix": [[1]]}, deadline_ticks=1000

@@ -39,6 +39,16 @@ class TestFraming:
         assert request.tenant == "t"
         assert request.deadline_ticks is None
 
+    def test_decoded_frames_share_field_names(self):
+        first = decode_frame(ok_response("a", {"answer": True, "bits": 3}))
+        second = decode_frame(ok_response("b", {"answer": False, "bits": 5}))
+        names = [
+            {name: name for name in (*frame, *frame["result"])}
+            for frame in (first, second)
+        ]
+        for name in names[0]:
+            assert names[0][name] is names[1][name]
+
     def test_encoding_is_canonical_and_crc_stamped(self):
         data = encode_frame({"v": 1, "id": "x", "ok": True, "result": {}})
         text = data.decode().rstrip("\n")

@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from repro.exact.gf2 import gf2_row_space_size_log2, pack_rows
 from repro.singularity import RestrictedFamily
 from repro.singularity.lemma36 import lemma36_enumeration_capacity_log2
 from repro.util.fmt import format_pow, format_si
@@ -31,12 +30,6 @@ class TestLemma36Capacity:
         low = lemma36_enumeration_capacity_log2(family_7_2, family_7_2.n - 2)
         high = lemma36_enumeration_capacity_log2(family_7_2, 1)
         assert high > low
-
-
-class TestGF2Helpers:
-    def test_row_space_log2_is_rank(self):
-        packed, _ = pack_rows([[1, 0], [0, 1], [1, 1]])
-        assert gf2_row_space_size_log2(packed) == 2
 
 
 class TestModuleEntryPoint:
