@@ -317,7 +317,6 @@ def _serve_config(args):
     return ServiceConfig(
         max_queue=args.max_queue,
         max_inflight_per_tenant=args.max_inflight,
-        workers=args.service_workers,
     )
 
 
@@ -588,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-inflight", type=int, default=4,
             help="per-tenant in-flight admission cap",
-        )
-        p.add_argument(
-            "--service-workers", type=int, default=4,
-            help="concurrent executor tasks inside the service",
         )
 
     p = sub.add_parser(

@@ -27,21 +27,13 @@ Size limit: :data:`DEFAULT_LIMIT` (18) rows/columns after deduplication.
 The unpruned tuple-of-indices DP the test suite checks this search
 against lives in ``tests/comm/exact_oracle.py``.
 
-The search also has a **parallel mode** (the raw-speed tier): pass
-``workers > 1`` (or set ``REPRO_WORKERS``) to
-:func:`communication_complexity` / :func:`partition_number` and the
-*root-level* split enumeration fans out over
-:func:`repro.util.parallel.parmap`.  D(f) = min over root splits of
-``1 + max(D(children))`` (and d^P likewise with ``+``), so each worker
-evaluates a round-robin chunk of the splits with its own process-local
-search object, pruning against an incumbent folded from its local best
-and a :class:`repro.util.parallel.SharedBound` file that every worker
-publishes *witnessed* costs to.  A stale bound only weakens pruning —
-every published value was exactly achieved and is returned by its
-publishing worker, so the driver's min over worker bests is the exact
-optimum at any worker count (the soundness argument is spelled out in
-docs/performance.md §6).  ``optimal_protocol_tree`` stays sequential:
-the tree it returns is pinned to the sequential traversal order.
+At the root, d^P starts from a *witnessed* upper bound: the cheaper of
+the two announcement protocols (one agent names its input, the other
+adds a bit where needed).  The search only has to refute every protocol
+with fewer leaves; when it cannot, the seed is the optimum, and the rank
+and fooling-set bounds usually finish that refutation at the root
+itself (docs/performance.md §6).  The search runs in the calling
+process; no option fans it out.
 
 One memo serves every query: ``D(f)``, the protocol tree and ``d^P(f)`` all
 run over the shared per-matrix search object (LRU-cached in
@@ -60,8 +52,6 @@ size guard, cache probe, search, cache merge.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from collections import OrderedDict
 from threading import Lock
 
@@ -71,7 +61,6 @@ from repro import obs
 from repro.comm.protocol import Leaf, Node, ProtocolTree
 from repro.comm.truth_matrix import TruthMatrix
 from repro.trace import core as trace
-from repro.util.parallel import SharedBound, parmap, resolve_workers
 
 #: Version tag of the search: it keys the persistent cache (and serve's
 #: coalescing), so bump it whenever the search could produce a different
@@ -171,15 +160,15 @@ class _Entry:
 
     ``d_exact``/``lv_exact`` are exact values once known; ``d_low``/
     ``lv_low`` are certified lower bounds that tighten as budgeted searches
-    fail; the splits are stored in canonical coordinates so every
-    permutation-equivalent subrectangle can replay them through its own
+    fail; the D split is stored in canonical coordinates so every
+    permutation-equivalent subrectangle can replay it through its own
     class maps.
     """
 
     __slots__ = (
         "key", "mono",
         "d_exact", "d_low", "d_split",
-        "lv_exact", "lv_low", "lv_split", "lb_leaves",
+        "lv_exact", "lv_low", "lb_leaves",
     )
 
     def __init__(self, key):
@@ -192,7 +181,6 @@ class _Entry:
         self.d_split = None
         self.lv_exact = 1 if self.mono is not None else None
         self.lv_low = 1
-        self.lv_split = None
         self.lb_leaves = None
 
 
@@ -263,6 +251,21 @@ def _canonical_view(patterns: list[int], col_patterns: list[int], set_bits):
     return view
 
 
+def _announcement_leaves(data: np.ndarray) -> int:
+    """Leaves of the better announcement protocol: a witnessed d^P bound.
+
+    Agent 0 announces its (deduped) row index, after which a constant row
+    is one leaf and any other row takes one more bit from agent 1 (two
+    leaves); symmetrically with agent 1 announcing its column.  Taking the
+    min over both keeps the search's work equal on a matrix and its
+    transpose.
+    """
+    return min(
+        sum(1 if (row == row[0]).all() else 2 for row in view)
+        for view in (data, data.T)
+    )
+
+
 class _BitsetSearch:
     """Branch-and-bound D(f)/d^P(f) search over bitmask subrectangles.
 
@@ -277,8 +280,6 @@ class _BitsetSearch:
         self.data = data
         self.hits = 0  # _SEARCH_CACHE per-entry hit count
         n_rows, n_cols = data.shape
-        self.n_rows = n_rows
-        self.n_cols = n_cols
         self.row_ones, _ = pack_numpy(data)
         self.col_ones, _ = pack_numpy(data.T)
         self.set_bits = _SetBits()
@@ -506,7 +507,6 @@ class _BitsetSearch:
             return lower
         nr, nc, _patterns = entry.key
         best: int | None = None
-        best_split = None
         current = cap
         for axis in (0, 1):
             size = nr if axis == 0 else nc
@@ -522,22 +522,23 @@ class _BitsetSearch:
                 total = leaves_a + leaves_b
                 if total <= current:
                     best = total
-                    best_split = (axis, left, right)
                     current = total - 1
         if best is not None:
             entry.lv_exact = best
-            entry.lv_split = best_split
             return best
         entry.lv_low = max(entry.lv_low, cap + 1)
         return entry.lv_low
 
     def solve_leaves_root(self) -> int:
-        # A protocol's leaves partition the matrix, so entries bound leaves:
-        # the search with this cap always terminates with the exact optimum.
-        cap = self.n_rows * self.n_cols
-        result = self.solve_leaves(self.full_rows, self.full_cols, cap)
-        assert result <= cap, "leaf partition cannot exceed the entry count"
-        return result
+        """Exact d^P: refute every protocol cheaper than the announcement
+        seed (:func:`_announcement_leaves`, a real protocol's cost); when
+        the refutation fails, the seed itself is the optimum."""
+        seed = _announcement_leaves(self.data)
+        result = self.solve_leaves(self.full_rows, self.full_cols, seed - 1)
+        if result < seed:
+            return result
+        self._entry(self._canon(self.full_rows, self.full_cols)).lv_exact = seed
+        return seed
 
     # -- tree extraction ------------------------------------------------
     def serialized_root_tree(self) -> list:
@@ -634,251 +635,6 @@ def search_cache_stats() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parallel root-split fan-out.
-#
-# D(f) and d^P(f) are minima over *root* splits: D = 1 + min over splits of
-# max(D(A), D(B)); d^P = min over splits of leaves(A) + leaves(B).  The
-# matrix is deduplicated before the fan-out, so enumerating bipartitions of
-# the actual row/column index sets is a complete enumeration (no reduction
-# happens at the root).  Each worker evaluates a round-robin chunk of the
-# splits against an incumbent = min(its own best, the SharedBound file);
-# a split is pruned only when a budgeted child search certifies its cost
-# cannot *strictly* beat a witnessed incumbent, so the driver's min over
-# worker bests is exact at any worker count — see docs/performance.md §6.
-# ---------------------------------------------------------------------------
-
-
-def _root_splits(n_rows: int, n_cols: int) -> list[tuple[int, int, int]]:
-    """Every root split as ``(axis, left_mask, right_mask)`` bitmasks."""
-    splits = []
-    for axis, size in ((0, n_rows), (1, n_cols)):
-        if size < 2:
-            continue
-        for left, right in _bipartitions(tuple(range(size))):
-            left_mask = 0
-            for i in left:
-                left_mask |= 1 << i
-            right_mask = 0
-            for i in right:
-                right_mask |= 1 << i
-            splits.append((axis, left_mask, right_mask))
-    return splits
-
-
-def _split_priority(split, kind: str):
-    """Deterministic evaluation order for root splits, promising first.
-
-    For leaves, peeling a thin slice off (singleton row/column) tends to
-    be optimal or near it — a 1xc deduped child costs at most 2 leaves —
-    so thin-first lets every worker witness a tight cost almost
-    immediately and downgrade the rest of its chunk to lower-bound
-    prunes.  For D the cost is ``1 + max`` of the children, so *balanced*
-    splits are the promising ones.
-    """
-    _axis, left_mask, right_mask = split
-    thin = min(left_mask.bit_count(), right_mask.bit_count())
-    if kind == "d":
-        skew = abs(left_mask.bit_count() - right_mask.bit_count())
-        return (skew, split)
-    return (thin, split)
-
-
-def _round_robin(splits, n_chunks: int):
-    """Deal splits into ``n_chunks`` hands, preserving per-hand order.
-
-    Round-robin (rather than contiguous slices) interleaves row and column
-    splits across workers, so every worker finds *some* cheap witnessed
-    cost early and the shared bound tightens for all of them.
-    """
-    n_chunks = max(1, min(n_chunks, len(splits)))
-    chunks: list[list] = [[] for _ in range(n_chunks)]
-    for index, split in enumerate(splits):
-        chunks[index % n_chunks].append(split)
-    return chunks
-
-
-def _worker_search(data_bytes: bytes, shape: tuple[int, int]) -> "_BitsetSearch":
-    """Rebuild the bitset search inside a pool worker.
-
-    Routes through :func:`_search_for`, so consecutive chunk tasks that
-    land on the same (pool-persistent) worker process reuse one search
-    object — and with it the memo all chunks of this matrix share.
-    """
-    data = np.frombuffer(data_bytes, dtype=np.uint8).reshape(shape)
-    tmx = TruthMatrix(
-        data.copy(), tuple(range(shape[0])), tuple(range(shape[1]))
-    )
-    return _search_for(tmx)
-
-
-def _split_children(search: "_BitsetSearch", split):
-    axis, left_mask, right_mask = split
-    if axis == 0:
-        return (
-            (left_mask, search.full_cols),
-            (right_mask, search.full_cols),
-        )
-    return (
-        (search.full_rows, left_mask),
-        (search.full_rows, right_mask),
-    )
-
-
-def _incumbent(best: int | None, bound: SharedBound | None) -> int | None:
-    if bound is None:
-        return best
-    shared = bound.get()
-    if shared is None:
-        return best
-    if best is None or shared < best:
-        return shared
-    return best
-
-
-def _parallel_d_task(task) -> int | None:
-    """One worker's chunk of the root-split D(f) minimum.
-
-    Returns the best *witnessed* ``1 + max(D(A), D(B))`` over its splits,
-    or None when the incumbent pruned every one — in which case some other
-    worker witnessed (and returns) a cost at least as good.
-    """
-    data_bytes, shape, splits, bound_path = task
-    search = _worker_search(data_bytes, shape)
-    bound = SharedBound(bound_path) if bound_path else None
-    best: int | None = None
-    for split in splits:
-        child_a, child_b = _split_children(search, split)
-        incumbent = _incumbent(best, bound)
-        if incumbent is not None:
-            # Beating the incumbent strictly needs both children <= inc-2.
-            budget = incumbent - 2
-            if budget < 0:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            a = search.solve_d(*child_a, budget)
-            if a > budget:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            b = search.solve_d(*child_b, budget)
-            if b > budget:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            cost = 1 + max(a, b)
-        else:
-            a = search._solve_d_node(*child_a)
-            b = search._solve_d_node(*child_b)
-            cost = 1 + max(a, b)
-        if best is None or cost < best:
-            best = cost
-            if bound is not None:
-                bound.publish(cost)
-    return best
-
-
-def _parallel_leaves_task(task) -> int | None:
-    """One worker's chunk of the root-split d^P minimum (same contract)."""
-    data_bytes, shape, splits, bound_path = task
-    search = _worker_search(data_bytes, shape)
-    bound = SharedBound(bound_path) if bound_path else None
-    # Leaves of any subrectangle never exceed its entry count, so the full
-    # entry count is a cap under which solve_leaves is always exact.
-    cap_total = shape[0] * shape[1]
-    best: int | None = None
-    for split in splits:
-        child_a, child_b = _split_children(search, split)
-        incumbent = _incumbent(best, bound)
-        if incumbent is not None:
-            current = incumbent - 1  # must strictly beat the incumbent
-            lb_b = search._peek_leaves_lb(*child_b)
-            if lb_b + 1 > current:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            a = search.solve_leaves(*child_a, current - lb_b)
-            if a + lb_b > current:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            b = search.solve_leaves(*child_b, current - a)
-            if a + b > current:
-                obs.counter("exhaustive.parallel.pruned").inc()
-                continue
-            cost = a + b
-        else:
-            a = search.solve_leaves(*child_a, cap_total)
-            b = search.solve_leaves(*child_b, cap_total)
-            cost = a + b
-        if best is None or cost < best:
-            best = cost
-            if bound is not None:
-                bound.publish(cost)
-    return best
-
-
-_PARALLEL_TASKS = {"d": _parallel_d_task, "leaves": _parallel_leaves_task}
-
-
-def _announcement_bound(data: np.ndarray, kind: str) -> int:
-    """A *witnessed* upper bound from the two announcement protocols.
-
-    Agent 0 can always announce its (deduped) row index with a balanced
-    split tree, after which the rectangle is a single row and one more bit
-    from agent 1 finishes any non-constant row; symmetrically for columns.
-    Both are real protocols, so their costs are achieved — which is what
-    lets the driver seed the shared bound with them and fold them into the
-    final min without breaking exactness.
-    """
-    bounds = []
-    for view in (data, data.T):
-        n = view.shape[0]
-        constant = [
-            bool((row == row[0]).all()) for row in view
-        ]
-        if kind == "d":
-            index_bits = max(1, (n - 1).bit_length()) if n > 1 else 0
-            cost = index_bits + (0 if all(constant) else 1)
-        else:
-            cost = sum(1 if c else 2 for c in constant)
-        bounds.append(cost)
-    return min(bounds)
-
-
-def _parallel_root_min(deduped: TruthMatrix, kind: str, n_workers: int) -> int:
-    """Fan the root-split minimum out over ``n_workers`` pool processes."""
-    data = np.ascontiguousarray(deduped.data)
-    n_rows, n_cols = deduped.shape
-    splits = _root_splits(n_rows, n_cols)
-    assert splits, "parallel path requires a splittable (non-1x1) matrix"
-    splits.sort(key=lambda split: _split_priority(split, kind))
-    chunks = _round_robin(splits, n_workers * 2)
-    # Seeding the bound file with the announcement-protocol cost spares
-    # every worker the unbudgeted first evaluation (cap = entry count)
-    # that would otherwise dominate its wall time.
-    seed = _announcement_bound(data, kind)
-    with trace.span(
-        "exhaustive.parallel_root",
-        kind=kind,
-        workers=n_workers,
-        splits=len(splits),
-        chunks=len(chunks),
-        seed_bound=seed,
-    ):
-        with tempfile.TemporaryDirectory(prefix="repro-bound-") as scratch:
-            bound_path = os.path.join(scratch, f"{kind}.bound")
-            SharedBound(bound_path).publish(seed)
-            tasks = [
-                (data.tobytes(), deduped.shape, tuple(chunk), bound_path)
-                for chunk in chunks
-            ]
-            # chunksize=1: chunks are few and heavy; queueing two behind a
-            # straggler would forfeit the whole fan-out.
-            results = parmap(
-                _PARALLEL_TASKS[kind], tasks, workers=n_workers, chunksize=1
-            )
-    # The seed is witnessed too: a worker best only exists where it beat
-    # the incumbent, and splits pruned against the seed cost >= seed.
-    return min([seed] + [r for r in results if r is not None])
-
-
-# ---------------------------------------------------------------------------
 # The one query path (the persistent cache is opt-in; see repro.cache).
 # ---------------------------------------------------------------------------
 
@@ -890,22 +646,19 @@ _SOLVERS = {
 }
 
 
-def _query(name: str, fields: tuple[str, ...], tm, limit, workers) -> dict:
+def _query(name: str, fields: tuple[str, ...], tm, limit) -> dict:
     """The record ``fields`` of ``tm``'s deduplicated matrix.
 
     Span ``exhaustive.<name>``, dedupe, size guard, persistent-cache
     probe, search, cache merge.  A record answers only when it holds
-    every field; a fresh result is merged into it.  ``workers > 1``
-    fans a single ``d`` or ``leaves`` field out over the root splits.
+    every field; a fresh result is merged into it.
     """
     from repro import cache
 
-    n_workers = resolve_workers(workers)
     # The span covers dedup + cache probing too, so traced wall time stays
     # attributed even when the search itself is cheap.
     with trace.span(
         f"exhaustive.{name}",
-        workers=n_workers,
         rows=int(tm.shape[0]),
         cols=int(tm.shape[1]),
     ) as sp:
@@ -929,13 +682,8 @@ def _query(name: str, fields: tuple[str, ...], tm, limit, workers) -> dict:
                 for field in fields
             ):
                 return {field: record[field] for field in fields}
-        if n_workers > 1 and len(fields) == 1 and deduped.data.size > 1:
-            result = {
-                fields[0]: _parallel_root_min(deduped, fields[0], n_workers)
-            }
-        else:
-            search = _search_for(deduped)
-            result = {field: _SOLVERS[field](search) for field in fields}
+        search = _search_for(deduped)
+        result = {field: _SOLVERS[field](search) for field in fields}
         if store is not None:
             store.merge(key, result, ENGINE_VERSION, deduped.shape)
         return result
@@ -946,16 +694,26 @@ def _query(name: str, fields: tuple[str, ...], tm, limit, workers) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _check_workers(workers: int | None) -> None:
+    """The search runs in the calling process; ``workers`` remains only
+    for callers that still pass ``workers=1``."""
+    if workers not in (None, 1):
+        raise ValueError(
+            f"exact search runs in one process; workers must be None or 1, "
+            f"got {workers!r}"
+        )
+
+
 def communication_complexity(
     tm: TruthMatrix, limit: int | None = None, workers: int | None = None
 ) -> int:
     """Exact D(f) of the (deduplicated) truth matrix.
 
-    ``workers`` (explicit arg > ``REPRO_WORKERS`` env > 1) fans the root
-    splits out across a process pool with a shared pruning bound; the
-    result is the same exact integer at any worker count.
+    ``workers`` accepts only ``None`` or ``1``: the search always runs
+    in the calling process.
     """
-    return _query("communication_complexity", ("d",), tm, limit, workers)["d"]
+    _check_workers(workers)
+    return _query("communication_complexity", ("d",), tm, limit)["d"]
 
 
 def optimal_protocol_tree(
@@ -965,10 +723,9 @@ def optimal_protocol_tree(
 
     The tree's node predicates take a *label* (row label for agent 0 nodes,
     column label for agent 1 nodes) and return the announced bit.  Labels of
-    duplicate rows/columns are mapped onto their representative.  Always
-    sequential: the tree is pinned to the sequential traversal order.
+    duplicate rows/columns are mapped onto their representative.
     """
-    record = _query("optimal_protocol_tree", ("d", "tree"), tm, limit, 1)
+    record = _query("optimal_protocol_tree", ("d", "tree"), tm, limit)
     root = _tree_from_serialized(
         record["tree"],
         _label_index(tm.data, tm.row_labels),
@@ -986,11 +743,10 @@ def partition_number(
     rectangle partition number d(f); ``log2`` of it sandwiches D(f) within a
     factor-2/additive terms.  Same recursion as D(f) with ``+`` in place of
     ``max``, running on the same shared search memo as
-    :func:`communication_complexity`.  ``workers`` parallelizes the root
-    splits exactly as in :func:`communication_complexity` (same value at
-    any worker count).
+    :func:`communication_complexity`; ``workers`` is checked as there.
     """
-    return _query("partition_number", ("leaves",), tm, limit, workers)["leaves"]
+    _check_workers(workers)
+    return _query("partition_number", ("leaves",), tm, limit)["leaves"]
 
 
 def _label_index(data: np.ndarray, labels) -> dict:

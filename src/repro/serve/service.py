@@ -96,7 +96,6 @@ class ServiceConfig:
             requests are shed with ``overloaded``.
         max_inflight_per_tenant: per-tenant admission cap on concurrently
             held requests.
-        workers: concurrent executor tasks draining the queue.
         default_deadline_ticks: deadline applied when a request names none.
         step_budget: cap on per-agent scheduler steps for ``protocol.run``
             (requests may ask for less, never more).
@@ -110,7 +109,6 @@ class ServiceConfig:
 
     max_queue: int = 64
     max_inflight_per_tenant: int = 4
-    workers: int = 4
     default_deadline_ticks: int = 1024
     step_budget: int = 100_000
     bit_budget: int = 1_000_000
@@ -123,8 +121,6 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 1")
         if self.max_inflight_per_tenant < 1:
             raise ValueError("max_inflight_per_tenant must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.default_deadline_ticks < 1:
             raise ValueError("default_deadline_ticks must be >= 1")
         if self.step_budget < 1 or self.bit_budget < 1:
@@ -484,34 +480,32 @@ class Service:
         self._tenant_inflight: dict[str, int] = {}
         self._inflight_keys: dict[str, asyncio.Future] = {}
         self._memo: OrderedDict[str, dict] = OrderedDict()
-        self._workers: list[asyncio.Task] = []
+        self._executor: asyncio.Task | None = None
         self._stopping = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "Service":
-        """Create the bounded queue and start the executor tasks."""
-        if self._workers:
+        """Create the bounded queue and start the executor task."""
+        if self._executor is not None:
             raise RuntimeError("service already started")
         self._stopping = False
         self._queue = asyncio.Queue()
-        self._workers = [
-            asyncio.create_task(self._worker_loop(), name=f"serve-worker-{i}")
-            for i in range(self.config.workers)
-        ]
+        self._executor = asyncio.create_task(
+            self._worker_loop(), name="serve-executor"
+        )
         return self
 
     async def stop(self) -> None:
-        """Drain and stop: executors finish queued work, then exit."""
-        if not self._workers:
+        """Drain and stop: the executor finishes queued work, then exits."""
+        if self._executor is None:
             return
         self._stopping = True
         assert self._queue is not None
-        for _ in self._workers:
-            self._queue.put_nowait(None)
-        await asyncio.gather(*self._workers)
-        self._workers = []
+        self._queue.put_nowait(None)
+        await self._executor
+        self._executor = None
         self._queue = None
 
     async def __aenter__(self) -> "Service":
@@ -531,7 +525,7 @@ class Service:
         ``tenant`` is the transport-level identity fallback; a validated
         frame's own ``tenant`` field wins.  Never raises: every failure
         mode is a structured error response.  Never hangs: rejections are
-        immediate and accepted work is executed by the bounded pool.
+        immediate and accepted work is executed from the bounded queue.
         """
         obs.counter("serve.requests").inc()
         try:
@@ -628,7 +622,7 @@ class Service:
         return self._verdict_response(request.id, verdict)
 
     async def _worker_loop(self) -> None:
-        """One executor: dequeue, check the deadline, execute, resolve."""
+        """The executor: dequeue, check the deadline, execute, resolve."""
         assert self._queue is not None
         queue = self._queue
         while True:

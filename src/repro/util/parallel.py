@@ -27,18 +27,10 @@ Caveats worth knowing:
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Callable, Iterable, Sequence
-from contextlib import contextmanager
-from pathlib import Path
 from typing import TypeVar
 
 from repro.trace import core as trace
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -90,72 +82,6 @@ def resolve_workers(workers: int | None = None) -> int:
         raise ValueError(
             f"{_ENV_VAR} must be an integer, got {env!r}"
         ) from None
-
-
-class SharedBound:
-    """A cross-process monotone-min integer, carried by a small file.
-
-    The parallel branch-and-bound drivers (see
-    :mod:`repro.comm.exhaustive`) hand every pool worker the same path;
-    whenever a worker *witnesses* a cost it calls :meth:`publish`, and
-    other workers fold :meth:`get` into their pruning incumbent.  The
-    protocol is deliberately loose: reads may be stale — a stale or
-    missing bound only weakens pruning, it can never change a computed
-    result, because callers are required to publish *witnessed* values
-    only (costs they actually achieved and will themselves return).
-
-    Writes are atomic (pid+tid-named temp file + ``os.replace``), and each
-    publish reads, compares and replaces under an exclusive advisory lock
-    on the file's directory, so a larger value can never land after a
-    smaller one: the file always holds the minimum published.  Every
-    filesystem error degrades to "no bound", never to a raise.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-
-    def get(self) -> int | None:
-        """The smallest published value, or None (missing/corrupt file)."""
-        try:
-            text = self.path.read_text(encoding="ascii")
-            return int(text)
-        except (OSError, ValueError):
-            return None
-
-    def publish(self, value: int) -> int:
-        """Merge ``value`` in; returns the best value known afterwards."""
-        value = int(value)
-        tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        current = None
-        try:
-            with _directory_lock(self.path.parent):
-                current = self.get()
-                if current is not None and current <= value:
-                    return current
-                tmp.write_text(str(value), encoding="ascii")
-                os.replace(tmp, self.path)
-                return value
-        except OSError:
-            return value if current is None else min(value, current)
-
-
-@contextmanager
-def _directory_lock(directory: Path):
-    """Hold an exclusive ``flock`` on ``directory`` (a no-op where the
-    platform has no ``fcntl``).  Locking the directory rather than the
-    bound file survives ``os.replace`` swapping the file's inode and
-    leaves no lock file behind."""
-    if fcntl is None:
-        yield
-        return
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)
 
 
 def parmap(

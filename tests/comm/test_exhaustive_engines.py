@@ -6,10 +6,14 @@ masks) is three orders of magnitude faster than the unpruned tuple DP in
 Hypothesis drives random small matrices through both engines and demands
 identical D(f) and d^P(f); the canonical functions (EQ, GT, IP, DISJ, 2x2
 singularity) pin the absolute values; the library's protocol trees must be
-depth-optimal and compute the function everywhere.  One ``slow`` test
-holds the search to its speed bar over the oracle on the E15 suite.
+depth-optimal and compute the function everywhere.  d^P's root seed (the
+announcement protocol's witnessed cost) is pinned on both outcomes of its
+refutation, and a counter gate holds the seeded search on a 12x14
+instance.  One ``slow`` test holds the search to its speed bar over the
+oracle on the E15 suite.
 """
 
+import random
 import time
 
 import numpy as np
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro import cache, obs
 from repro.comm.exhaustive import (
+    _announcement_leaves,
     clear_search_cache,
     communication_complexity,
+    dedupe,
     optimal_protocol_tree,
     partition_number,
     search_cache_stats,
@@ -143,6 +149,84 @@ class TestSharedMemo:
             assert counters["exhaustive.search_cache.misses"] == 1
             assert counters["exhaustive.search_cache.hits"] == 2
         assert search_cache_stats()["entries"] == [{"shape": [5, 5], "hits": 2}]
+
+
+def _searched_cold(query, tm) -> tuple[int, dict]:
+    """``query(tm)`` on a fresh search with no persistent store, and the
+    obs counters of that one query."""
+    clear_search_cache()
+    with cache.disabled(), obs.scoped():
+        value = query(tm)
+        return value, obs.snapshot()["counters"]
+
+
+class TestAnnouncementSeed:
+    """d^P refutes below the announcement protocol's cost; whether the
+    refutation fails (the seed is optimal) or succeeds (a cheaper protocol
+    exists), the answer is the oracle's."""
+
+    def test_tight_seed_is_the_answer(self):
+        tm = tm_from([[1 if i > j else 0 for j in range(8)] for i in range(8)])
+        assert _announcement_leaves(dedupe(tm).data) == 15
+        value, _ = _searched_cold(partition_number, tm)
+        assert value == oracle_partition_number(tm) == 15
+
+    def test_loose_seed_is_beaten(self):
+        rng = random.Random("1989:exact:7:0")
+        tm = tm_from([[rng.randrange(2) for _ in range(7)] for _ in range(7)])
+        assert _announcement_leaves(dedupe(tm).data) == 13
+        value, _ = _searched_cold(partition_number, tm)
+        assert value == oracle_partition_number(tm) == 12
+
+    def test_seed_is_transpose_invariant(self):
+        # Deduplicated, this matrix's row and column seeds differ, so a
+        # seed read off one orientation only does different work on the
+        # transpose.
+        rng = random.Random("1989:exact:7:5")
+        data = np.array(
+            [[rng.randrange(2) for _ in range(7)] for _ in range(7)],
+            dtype=np.uint8,
+        )
+        straight = _searched_cold(partition_number, tm_from(data))
+        transposed = _searched_cold(partition_number, tm_from(data.T))
+        assert straight[0] == transposed[0]
+        for name in ("exhaustive.subproblems", "exhaustive.pruned"):
+            assert straight[1][name] == transposed[1][name]
+
+
+#: Subproblems the seeded d^P search may open on the pinned 12x14
+#: instance: the root's rank/fooling-set bound meets the seed there.
+PINNED_12X14_SUBPROBLEMS = 1
+
+
+def test_pinned_12x14_leaves_within_counter_gate():
+    """d^P of the pinned 12x14 seed-3 instance, held by work done rather
+    than wall time."""
+    rng = ReproducibleRNG(3)
+    tm = tm_from([rng.bit_vector(14) for _ in range(12)])
+    value, counters = _searched_cold(partition_number, tm)
+    assert value == 24
+    assert counters["exhaustive.subproblems"] <= PINNED_12X14_SUBPROBLEMS
+
+
+class TestWorkersKeyword:
+    """The search runs in the calling process; ``workers`` survives only
+    as ``None`` or ``1``."""
+
+    def test_repro_workers_env_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        tm = tm_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        for query in (communication_complexity, partition_number):
+            value, counters = _searched_cold(query, tm)
+            assert value == query(tm, workers=1)
+            assert counters["exhaustive.subproblems"] > 0
+
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_other_worker_counts_are_rejected(self, workers):
+        tm = tm_from([[0, 1], [1, 1]])
+        for query in (communication_complexity, partition_number):
+            with pytest.raises(ValueError, match="workers"):
+                query(tm, workers=workers)
 
 
 #: The bar for the library's search over the oracle on the E15 suite.

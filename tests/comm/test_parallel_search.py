@@ -1,49 +1,19 @@
-"""Parallel shared-bound root fan-out == sequential search == test oracle.
+"""The ``workers`` keyword never changes an exact-search answer.
 
-The parallel mode prunes each root split against an incumbent folded from
-the worker's local best and a cross-process bound file; its soundness
-claim (docs/performance.md §6) is that a split is only dropped when a
-*witnessed* cost proves it cannot win.  The executable form of that claim:
-the returned integers are identical at every worker count — Hypothesis
-over random ≤6×6 matrices, workers ∈ {1, 2, 4}, both D(f) and d^P(f).
-One ``slow`` test holds the fan-out to its speed bar on a pinned hard
-instance.
+The search runs in the calling process; ``communication_complexity`` and
+``partition_number`` still accept ``workers`` as ``None`` or ``1`` (other
+counts raise, see ``test_exhaustive_engines.TestWorkersKeyword``).  Every
+accepted worker count must return the oracle's D(f) and d^P(f) —
+Hypothesis over random ≤6×6 matrices.
 """
 
-import time
-
-import numpy as np
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import cache
-from repro.comm.exhaustive import (
-    clear_search_cache,
-    communication_complexity,
-    partition_number,
-)
-from repro.comm.truth_matrix import TruthMatrix
-from repro.util.rng import ReproducibleRNG
+from repro.comm.exhaustive import communication_complexity, partition_number
 from tests.comm.exact_oracle import oracle_cc, oracle_partition_number
+from tests.comm.test_exhaustive_engines import matrices, tm_from
 
-WORKERS = (1, 2, 4)
-
-
-def tm_from(array) -> TruthMatrix:
-    a = np.array(array, dtype=np.uint8)
-    return TruthMatrix(a, tuple(range(a.shape[0])), tuple(range(a.shape[1])))
-
-
-matrices = st.integers(min_value=1, max_value=6).flatmap(
-    lambda r: st.integers(min_value=1, max_value=6).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(min_value=0, max_value=1), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
-        )
-    )
-)
+WORKERS = (None, 1)
 
 
 class TestParallelEqualsSequential:
@@ -52,8 +22,7 @@ class TestParallelEqualsSequential:
     def test_d_identical_at_every_worker_count(self, rows):
         tm = tm_from(rows)
         sequential = communication_complexity(tm, workers=1)
-        oracle = oracle_cc(tm)
-        assert sequential == oracle
+        assert sequential == oracle_cc(tm)
         for workers in WORKERS:
             assert communication_complexity(tm, workers=workers) == sequential
 
@@ -62,62 +31,6 @@ class TestParallelEqualsSequential:
     def test_leaves_identical_at_every_worker_count(self, rows):
         tm = tm_from(rows)
         sequential = partition_number(tm, workers=1)
-        oracle = oracle_partition_number(tm)
-        assert sequential == oracle
+        assert sequential == oracle_partition_number(tm)
         for workers in WORKERS:
             assert partition_number(tm, workers=workers) == sequential
-
-    def test_pinned_values_parallel(self):
-        # EQ_3: identity 8x8 — D = 4 (known), leaves = 2*8 - 1... pinned
-        # through the sequential engine rather than by hand, then asserted
-        # stable across worker counts.
-        eye = np.eye(8, dtype=np.uint8)
-        tm = TruthMatrix(eye, tuple(range(8)), tuple(range(8)))
-        d = communication_complexity(tm)
-        leaves = partition_number(tm)
-        for workers in WORKERS:
-            assert communication_complexity(tm, workers=workers) == d
-            assert partition_number(tm, workers=workers) == leaves
-
-    def test_trivial_matrices_parallel(self):
-        for array in ([[0]], [[1]], [[0, 0], [0, 0]], [[0, 1]]):
-            tm = tm_from(array)
-            d = communication_complexity(tm)
-            leaves = partition_number(tm)
-            assert communication_complexity(tm, workers=4) == d
-            assert partition_number(tm, workers=4) == leaves
-
-    def test_env_var_drives_parallel_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        tm = tm_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        assert communication_complexity(tm) == communication_complexity(
-            tm, workers=1
-        )
-
-
-#: The bar for d^P at 4 workers over the sequential bitset search.
-PARALLEL_SEARCH_SPEEDUP_BAR = 3.0
-
-
-@pytest.mark.slow
-def test_parallel_search_speedup_bar():
-    """d^P of the pinned 12x14 seed-3 instance, 1 worker vs 4.
-
-    The win is algorithmic (seeded witnessed bound + budgeted pruning), so
-    the bar holds even when the host has fewer than 4 cores.
-    """
-    rng = ReproducibleRNG(3)
-    tm = tm_from([rng.bit_vector(14) for _ in range(12)])
-    seconds, values = {}, set()
-    with cache.disabled():
-        for workers in (1, 4):
-            clear_search_cache()
-            t0 = time.perf_counter()
-            values.add(partition_number(tm, workers=workers))
-            seconds[workers] = time.perf_counter() - t0
-    assert len(values) == 1
-    speedup = seconds[1] / seconds[4]
-    assert speedup >= PARALLEL_SEARCH_SPEEDUP_BAR, (
-        f"parallel d^P bar missed: {speedup:.1f}x < "
-        f"{PARALLEL_SEARCH_SPEEDUP_BAR:g}x at 4 workers"
-    )

@@ -23,8 +23,8 @@ from repro.util.rng import ReproducibleRNG
 
 PINNED_RECORDS = 42
 PINNED_DIGEST = "3f9b1fab9e2997b4"
-PINNED_SUBPROBLEMS = 988
-PINNED_PRUNED = 1646
+PINNED_SUBPROBLEMS = 363
+PINNED_PRUNED = 250
 
 
 def tm_from(array) -> TruthMatrix:

@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro import obs
+from repro import cache, obs
+from repro.comm.exhaustive import clear_search_cache
 from repro.serve import wire
 from repro.serve.chaos import chaos_sweep
 from repro.serve.service import (
@@ -106,6 +107,22 @@ class TestHandlers:
                 {"problem": "parity", "total_bits": 3}, ServiceConfig()
             )
 
+    def test_exact_handlers_search_in_this_process(self, monkeypatch):
+        """``REPRO_WORKERS`` starts no process pool behind the event loop:
+        both exact-search handlers count their search work here."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        cases = (
+            (handle_exhaustive_cc,
+             {"matrix": [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1]]}),
+            (handle_partition_search, {"problem": "parity", "total_bits": 4}),
+        )
+        for handler, params in cases:
+            clear_search_cache()
+            with cache.disabled(), obs.scoped():
+                handler(params, ServiceConfig())
+                counters = obs.snapshot()["counters"]
+            assert counters.get("exhaustive.subproblems", 0) > 0, handler
+
 
 class TestCoalescing:
     def test_identical_matrices_share_a_key(self):
@@ -147,7 +164,7 @@ class TestCoalescing:
     def test_concurrent_duplicates_coalesce_in_flight(self):
         async def scenario():
             with obs.scoped():
-                async with Service(ServiceConfig(workers=2)) as service:
+                async with Service(ServiceConfig()) as service:
                     frames = [
                         request_frame(
                             f"c{i}", "protocol.run",
@@ -184,7 +201,7 @@ class TestCoalescing:
 class TestAdmissionAndShedding:
     def test_tenant_inflight_cap(self):
         async def scenario():
-            config = ServiceConfig(max_inflight_per_tenant=1, workers=1)
+            config = ServiceConfig(max_inflight_per_tenant=1)
             async with Service(config) as service:
                 slow = service.call(
                     request_frame(
@@ -212,7 +229,7 @@ class TestAdmissionAndShedding:
 
     def test_queue_full_sheds_with_overloaded(self):
         async def scenario():
-            config = ServiceConfig(max_queue=1, workers=1)
+            config = ServiceConfig(max_queue=1)
             async with Service(config) as service:
                 calls = [
                     service.call(
@@ -248,7 +265,7 @@ class TestAdmissionAndShedding:
     def test_overload_sheds_and_backed_off_retries_lose_nothing(self):
         point = clean_load(
             clients=30, requests=60, seed=0,
-            config=ServiceConfig(max_queue=2, workers=1),
+            config=ServiceConfig(max_queue=2),
         )
         # With a starved queue the shed path must actually fire …
         assert point.counters.get("serve.shed.overloaded", 0) > 0
@@ -267,7 +284,7 @@ class TestAdmissionAndShedding:
 class TestDeadlines:
     def test_deadline_expires_by_ticks_not_wall_clock(self):
         async def scenario():
-            config = ServiceConfig(workers=1)
+            config = ServiceConfig()
             async with Service(config) as service:
                 calls = [
                     service.call(
@@ -299,7 +316,7 @@ class TestDeadlines:
 
         async def scenario():
             with obs.scoped():
-                async with Service(ServiceConfig(workers=1)) as service:
+                async with Service(ServiceConfig()) as service:
                     before = service.ticks
                     first = response_of(await service.call(
                         request_frame("solo", "exhaustive.cc",
@@ -392,8 +409,6 @@ class TestExecuteMethod:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(workers=0)
         with pytest.raises(ValueError):
             ServiceConfig(default_deadline_ticks=0)
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from repro.util.parallel import SharedBound, parmap, resolve_workers
+from repro.util.parallel import parmap, resolve_workers
 
 
 def _square(x):
@@ -66,47 +66,3 @@ class TestParmap:
 
     def test_accepts_any_iterable(self):
         assert parmap(_square, range(4), workers=1) == [0, 1, 4, 9]
-
-
-def _publish_task(task):
-    path, value = task
-    return SharedBound(path).publish(value)
-
-
-class TestSharedBound:
-    def test_missing_file_is_none(self, tmp_path):
-        assert SharedBound(tmp_path / "bound").get() is None
-
-    def test_publish_then_get(self, tmp_path):
-        bound = SharedBound(tmp_path / "bound")
-        assert bound.publish(7) == 7
-        assert bound.get() == 7
-
-    def test_min_merge(self, tmp_path):
-        bound = SharedBound(tmp_path / "bound")
-        bound.publish(9)
-        assert bound.publish(4) == 4
-        # A worse value never regresses the file.
-        assert bound.publish(12) == 4
-        assert bound.get() == 4
-
-    def test_corrupt_file_degrades_to_none(self, tmp_path):
-        path = tmp_path / "bound"
-        path.write_text("not-an-int")
-        bound = SharedBound(path)
-        assert bound.get() is None
-        # Publishing over corruption repairs the file.
-        bound.publish(3)
-        assert bound.get() == 3
-
-    def test_cross_process_convergence(self, tmp_path):
-        path = tmp_path / "bound"
-        values = [9, 5, 8, 3, 7, 6, 4, 11]
-        parmap(_publish_task, [(path, v) for v in values], workers=4)
-        assert SharedBound(path).get() == min(values)
-
-    def test_no_tmp_litter(self, tmp_path):
-        bound = SharedBound(tmp_path / "bound")
-        for value in (9, 3, 5):
-            bound.publish(value)
-        assert [p.name for p in tmp_path.iterdir()] == ["bound"]
